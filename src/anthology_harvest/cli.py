@@ -10,7 +10,6 @@ import json
 import sys
 from pathlib import Path
 
-from . import paperlist as pl
 from . import query as query_mod
 from . import scheduler, store as store_mod
 from .config import ConfigError, ToolConfig, load_config
@@ -187,8 +186,7 @@ def cmd_filter(args: argparse.Namespace, cfg: ToolConfig) -> int:
     rules = _filter_rules(args)
     handle = _open_store(cfg)
     try:
-        papers = store_mod.load_all_papers(handle)
-        selected = pl.filter_papers(papers, rules, combine=args.combine)
+        selected = store_mod.filter_stored(handle, rules, combine=args.combine)
     except EmptyRuleSet:
         print("error: no filter rules given "
               "(--keyword-all/--keyword-any/--author/--venues/--years)",
@@ -213,8 +211,7 @@ def cmd_stats(args: argparse.Namespace, cfg: ToolConfig) -> int:
         return 1
     handle = _open_store(cfg)
     try:
-        papers = store_mod.load_all_papers(handle)
-        counts = pl.stats(papers, dims)
+        counts = store_mod.stats_stored(handle, dims)
     finally:
         handle.close()
     if args.format == "json":

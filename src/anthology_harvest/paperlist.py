@@ -244,9 +244,8 @@ def complement(a: PaperList, universe: PaperList) -> PaperList:
     return PaperList(items=tuple(p for p in universe.items if p.anthology_id not in a_ids))
 
 
-def filter_papers(a: PaperList, rules: Iterable[FilterRule],
-                  combine: str = "all") -> PaperList:
-    """Keep the papers satisfying the combined rule set, order preserved.
+def check_rules(rules: Iterable[FilterRule], combine: str) -> list[FilterRule]:
+    """The rule list, once checked; shared by every filter implementation.
 
     Raises:
         EmptyRuleSet: if no rules were given.
@@ -256,6 +255,17 @@ def filter_papers(a: PaperList, rules: Iterable[FilterRule],
         raise EmptyRuleSet("filter needs at least one rule")
     if combine not in ("all", "any"):
         raise ValueError(f"combine must be 'all' or 'any', got {combine!r}")
+    return rule_list
+
+
+def filter_papers(a: PaperList, rules: Iterable[FilterRule],
+                  combine: str = "all") -> PaperList:
+    """Keep the papers satisfying the combined rule set, order preserved.
+
+    Raises:
+        EmptyRuleSet: if no rules were given.
+    """
+    rule_list = check_rules(rules, combine)
     combiner: Callable[[Iterable[bool]], bool] = all if combine == "all" else any
     return PaperList(items=tuple(
         p for p in a.items if combiner(rule.matches(p) for rule in rule_list)
@@ -277,11 +287,8 @@ def _dim_keys(record: PaperRecord, dim: str) -> list:
     return keys
 
 
-def stats(a: PaperList, dims: Iterable[str]) -> dict:
-    """Nested counts grouped by the dimension tuple.
-
-    For non-author dimensions the counts over the map sum to ``len(a)``;
-    the author dimension counts one per (paper, author) pair.
+def check_dims(dims: Iterable[str]) -> list[str]:
+    """The dimension list, once checked; shared by every stats implementation.
 
     Raises:
         BadDims: empty, duplicated, or unknown dimensions.
@@ -294,6 +301,19 @@ def stats(a: PaperList, dims: Iterable[str]) -> dict:
     unknown = [d for d in dim_list if d not in STAT_DIMS]
     if unknown:
         raise BadDims(f"unknown dimensions {unknown}; pick from {list(STAT_DIMS)}")
+    return dim_list
+
+
+def stats(a: PaperList, dims: Iterable[str]) -> dict:
+    """Nested counts grouped by the dimension tuple.
+
+    For non-author dimensions the counts over the map sum to ``len(a)``;
+    the author dimension counts one per (paper, author) pair.
+
+    Raises:
+        BadDims: empty, duplicated, or unknown dimensions.
+    """
+    dim_list = check_dims(dims)
 
     def count_into(records: list[PaperRecord], remaining: list[str]) -> dict | int:
         dim, rest = remaining[0], remaining[1:]

@@ -170,27 +170,35 @@ class CrawlSession:
     def _fetch_and_parse(self, conf: ConferenceRecord
                          ) -> tuple[list[PaperRecord], int]:
         """Fetch the proceedings page plus pagination hops; returns
-        (papers, attempts spent on the first page)."""
+        (papers, attempts spent on every page).
+
+        Raises:
+            FetchError: a page failed; its ``attempts_used`` includes the
+                attempts spent on the pages fetched before it.
+        """
         source = self.config.source
         policy = self.config.policy
-        first = fetch(conf.url, policy, source, gate=self._gate)
-        content, papers, _report = parser.parse_proceedings(
-            first.body.decode("utf-8", errors="replace"), conf)
-        merged: dict[str, PaperRecord] = {p.anthology_id: p for p in papers}
-        visited = {conf.url}
-        frontier = [u for u in content.next_page_links if u not in visited]
+        attempts = 0
+        merged: dict[str, PaperRecord] = {}
+        visited: set[str] = set()
+        frontier = [conf.url]
         while frontier:
             url = frontier.pop(0)
             if url in visited:
                 continue
             visited.add(url)
-            page = fetch(url, policy, source, gate=self._gate)
-            more_content, more_papers, _ = parser.parse_proceedings(
+            try:
+                page = fetch(url, policy, source, gate=self._gate)
+            except FetchError as exc:
+                exc.attempts_used += attempts
+                raise
+            attempts += page.attempts_used
+            content, papers, _report = parser.parse_proceedings(
                 page.body.decode("utf-8", errors="replace"), conf)
-            for p in more_papers:
+            for p in papers:
                 merged.setdefault(p.anthology_id, p)
-            frontier.extend(u for u in more_content.next_page_links if u not in visited)
-        return list(merged.values()), first.attempts_used
+            frontier.extend(u for u in content.next_page_links if u not in visited)
+        return list(merged.values()), attempts
 
     def _run_task(self, conf: ConferenceRecord) -> None:
         started = time.monotonic()

@@ -7,12 +7,22 @@ serialized write path (a lock around a single connection), which is the
 synchronization contract the crawler relies on; readers see consistent
 snapshots.
 
-Authors are stored as an ordered JSON array in one column plus a normalized
-concatenation column used for matching -- two tables only, no join table.
-Timestamps are UTC ISO-8601 strings.
+Authors are stored as two JSON arrays of equal length: ``authors`` holds
+the display names and ``authors_normalized`` the matching forms, in the same
+order -- two tables only, no join table.  Rows are hydrated from both arrays
+without re-normalizing.  Timestamps are UTC ISO-8601 strings.
+
+The schema version lives in ``PRAGMA user_version``.  Version 0 stored the
+normalized names joined by ``" | "``; ``init_schema`` migrates such a store
+to version 1 in one transaction and writes nothing to an up-to-date one.
+
+``filter_stored`` and ``stats_stored`` evaluate filter rules and stats
+dimensions inside SQLite, with the same meaning as ``paperlist.filter_papers``
+and ``paperlist.stats`` over the hydrated table.
 """
 from __future__ import annotations
 
+import functools
 import json
 import re
 import sqlite3
@@ -23,6 +33,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import DuplicateInBatch, StoreUnavailable
 from .model import (
+    AuthorName,
     Category,
     ConferenceRecord,
     CrawlLog,
@@ -31,7 +42,9 @@ from .model import (
     PaperRecord,
     normalize_author,
 )
-from .paperlist import PaperList
+from .paperlist import FilterRule, PaperList, check_dims, check_rules
+
+SCHEMA_VERSION = 1
 
 DDL_CONFERENCE = """\
 CREATE TABLE IF NOT EXISTS conference (
@@ -101,6 +114,19 @@ class StoreConfig:
         return str(loc / f"{self.database_name}.db")
 
 
+@functools.lru_cache(maxsize=256)
+def _like_regex(pattern: str) -> re.Pattern:
+    regex = []
+    for ch in pattern.casefold():
+        if ch == "%":
+            regex.append(".*")
+        elif ch == "_":
+            regex.append(".")
+        else:
+            regex.append(re.escape(ch))
+    return re.compile("".join(regex), re.DOTALL)
+
+
 def _like_casefold(pattern, value) -> bool:
     """LIKE with %/_ wildcards, case-insensitive via Unicode casefold.
 
@@ -110,15 +136,15 @@ def _like_casefold(pattern, value) -> bool:
     """
     if pattern is None or value is None:
         return False
-    regex = []
-    for ch in str(pattern).casefold():
-        if ch == "%":
-            regex.append(".*")
-        elif ch == "_":
-            regex.append(".")
-        else:
-            regex.append(re.escape(ch))
-    return re.fullmatch("".join(regex), str(value).casefold(), re.DOTALL) is not None
+    return _like_regex(str(pattern)).fullmatch(str(value).casefold()) is not None
+
+
+def _casefold(value):
+    return None if value is None else value.casefold()
+
+
+def _strip(value):
+    return None if value is None else value.strip()
 
 
 class Store:
@@ -187,20 +213,24 @@ class Store:
             try:
                 for sql, params in statements:
                     self._conn.execute(sql, tuple(params))
-            except Exception:
-                self._conn.execute("ROLLBACK")
+                self._conn.execute("COMMIT")
+            except Exception as exc:
+                if self._conn.in_transaction:
+                    self._conn.execute("ROLLBACK")
+                if isinstance(exc, sqlite3.Error):
+                    raise StoreUnavailable(f"write failed: {exc}") from exc
                 raise
-            self._conn.execute("COMMIT")
 
 
 def init_schema(cfg: StoreConfig) -> Store:
-    """Open (creating if needed) the database and ensure both tables exist.
+    """Open (creating if needed) the database at the current schema version.
 
     Idempotent: a second call on the same location is a no-op that
-    preserves data.
+    preserves data.  A version-0 store is migrated in one transaction.
 
     Raises:
-        StoreUnavailable: if the location cannot be opened.
+        StoreUnavailable: if the location cannot be opened, or holds a
+            schema newer than this version of the package.
     """
     path = cfg.database_path()
     try:
@@ -210,13 +240,52 @@ def init_schema(cfg: StoreConfig) -> Store:
     conn.row_factory = sqlite3.Row
     conn.isolation_level = None  # explicit transaction control
     conn.create_function("like", 2, _like_casefold, deterministic=True)
+    conn.create_function("casefold", 1, _casefold, deterministic=True)
+    conn.create_function("py_strip", 1, _strip, deterministic=True)
     try:
-        conn.execute(DDL_CONFERENCE)
-        conn.execute(DDL_PAPER)
-    except sqlite3.Error as exc:
+        _upgrade(conn)
+    except BaseException as exc:
         conn.close()
-        raise StoreUnavailable(f"cannot create schema at {path}: {exc}") from exc
+        if isinstance(exc, sqlite3.Error):
+            raise StoreUnavailable(f"cannot create schema at {path}: {exc}") from exc
+        raise
     return Store(conn, path)
+
+
+def _user_version(conn: sqlite3.Connection) -> int:
+    return conn.execute("PRAGMA user_version").fetchone()[0]
+
+
+def _upgrade(conn: sqlite3.Connection) -> None:
+    """Bring the schema to SCHEMA_VERSION; an up-to-date store is not written."""
+    if _user_version(conn) == SCHEMA_VERSION:
+        return
+    conn.execute("BEGIN IMMEDIATE")
+    try:
+        version = _user_version(conn)  # another connection may have migrated
+        if version > SCHEMA_VERSION:
+            raise StoreUnavailable(
+                f"store schema version {version} is newer than {SCHEMA_VERSION}")
+        if version < SCHEMA_VERSION:
+            conn.execute(DDL_CONFERENCE)
+            conn.execute(DDL_PAPER)
+            # Version 0 joined normalized names with " | "; re-derive them
+            # from the display names rather than split that ambiguous string.
+            rows = conn.execute("SELECT anthology_id, authors FROM paper").fetchall()
+            conn.executemany(
+                "UPDATE paper SET authors_normalized = ? WHERE anthology_id = ?",
+                [(_json_list(normalize_author(a).normalized for a in json.loads(authors)), aid)
+                 for aid, authors in rows])
+            conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
+        conn.execute("COMMIT")
+    except BaseException:
+        if conn.in_transaction:
+            conn.execute("ROLLBACK")
+        raise
+
+
+def _json_list(values: Iterable[str]) -> str:
+    return json.dumps(list(values), ensure_ascii=False)
 
 
 def _conference_row(rec: ConferenceRecord) -> tuple:
@@ -232,8 +301,8 @@ def _paper_row(rec: PaperRecord) -> tuple:
     return (
         rec.anthology_id,
         rec.title,
-        json.dumps([a.full for a in rec.authors], ensure_ascii=False),
-        " | ".join(a.normalized for a in rec.authors),
+        _json_list(a.full for a in rec.authors),
+        _json_list(a.normalized for a in rec.authors),
         rec.venue_key,
         rec.year,
         rec.page_url,
@@ -307,11 +376,17 @@ def upsert_crawl_batch(h: Store, conference: ConferenceRecord,
 
 
 def paper_from_row(row: Mapping) -> PaperRecord:
-    """Hydrate one paper row; authors re-normalize from their display forms."""
+    """Hydrate one paper row from its stored display and normalized names.
+
+    Raises:
+        ValueError: the two author arrays differ in length.
+    """
+    names = zip(json.loads(row["authors"]), json.loads(row["authors_normalized"]),
+                strict=True)
     return PaperRecord(
         anthology_id=row["anthology_id"],
         title=row["title"],
-        authors=tuple(normalize_author(a) for a in json.loads(row["authors"])),
+        authors=tuple(AuthorName(full=full, normalized=norm) for full, norm in names),
         venue_key=row["venue_key"],
         year=row["year"],
         page_url=row["page_url"],
@@ -341,11 +416,90 @@ def conference_from_row(row: Mapping) -> ConferenceRecord:
     )
 
 
+_PAPER_ORDER = " ORDER BY year, venue_key, anthology_id"
+
+
 def load_all_papers(h: Store) -> PaperList:
     """Every stored paper, in (year, venue_key, anthology_id) order."""
-    rows = h.execute_sql(
-        "SELECT * FROM paper ORDER BY year, venue_key, anthology_id")
+    rows = h.execute_sql("SELECT * FROM paper" + _PAPER_ORDER)
     return PaperList(items=tuple(paper_from_row(r) for r in rows))
+
+
+# The keyword haystack of FilterRule.matches: title + " " + abstract, casefolded.
+_HAYSTACK = "casefold(title || ' ' || coalesce(abstract, ''))"
+
+
+def _rule_sql(rule: FilterRule, params: list) -> str:
+    """One rule as a SQL predicate over ``paper``, matching FilterRule.matches."""
+    if rule.kind in ("keyword_any", "keyword_all"):
+        params.extend(kw.casefold() for kw in rule.payload)
+        joiner = " OR " if rule.kind == "keyword_any" else " AND "
+        return joiner.join(f"instr({_HAYSTACK}, ?) > 0" for _ in rule.payload)
+    if rule.kind == "author":
+        params.append(rule.payload)
+        return ("EXISTS (SELECT 1 FROM json_each(authors_normalized) "
+                "WHERE instr(value, ?) > 0)")
+    if rule.kind == "venue_in":
+        params.append(_json_list(sorted(rule.payload)))
+        return "venue_key IN (SELECT value FROM json_each(?))"
+    if rule.kind == "year_between":
+        params.extend(rule.payload)
+        return "year BETWEEN ? AND ?"
+    return "abstract IS NOT NULL AND py_strip(abstract) != ''"
+
+
+def filter_stored(h: Store, rules: Iterable[FilterRule], combine: str = "all") -> PaperList:
+    """The stored papers satisfying the combined rules, evaluated in SQL.
+
+    Equal to ``filter_papers(load_all_papers(h), rules, combine)``, in the
+    same (year, venue_key, anthology_id) order; only the hits are hydrated.
+
+    Raises:
+        EmptyRuleSet: if no rules were given.
+    """
+    rule_list = check_rules(rules, combine)
+    params: list = []
+    joiner = " AND " if combine == "all" else " OR "
+    where = joiner.join(f"({_rule_sql(r, params)})" for r in rule_list)
+    rows = h.execute_sql(f"SELECT * FROM paper WHERE {where}" + _PAPER_ORDER, params)
+    return PaperList(items=tuple(paper_from_row(r) for r in rows))
+
+
+_DIM_SQL = {"year": "year", "venue_key": "venue_key", "author": "a.value"}
+
+
+def stats_stored(h: Store, dims: Iterable[str]) -> dict:
+    """Nested counts by the dimension tuple, grouped in SQL.
+
+    Equal to ``paperlist.stats(load_all_papers(h), dims)``, key order
+    included: a paper counts once per distinct normalized author, and a
+    paper without authors leaves only the branch above the author level.
+
+    Raises:
+        BadDims: empty, duplicated, or unknown dimensions.
+    """
+    dim_list = check_dims(dims)
+    columns = ", ".join(_DIM_SQL[d] for d in dim_list)
+    if "author" in dim_list:
+        source = "paper LEFT JOIN json_each(paper.authors_normalized) AS a"
+        count = "COUNT(DISTINCT anthology_id)"
+    else:
+        source, count = "paper", "COUNT(*)"
+    rows = h.execute_sql(
+        f"SELECT {columns}, {count} FROM {source} GROUP BY {columns}")
+    paths = sorted((tuple(row.values()) for row in rows),
+                   key=lambda path: [str(k) for k in path[:-1]])
+    tree: dict = {}
+    for *keys, n in paths:
+        node = tree
+        for depth, key in enumerate(keys):
+            if key is None:  # no author: the branch above exists, nothing below
+                break
+            if depth == len(keys) - 1:
+                node[key] = n
+            else:
+                node = node.setdefault(key, {})
+    return tree
 
 
 def load_all_conferences(h: Store) -> list[ConferenceRecord]:

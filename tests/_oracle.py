@@ -25,7 +25,8 @@ def paper_row(rec: PaperRecord) -> dict:
         "anthology_id": rec.anthology_id,
         "title": rec.title,
         "authors": json.dumps([a.full for a in rec.authors], ensure_ascii=False),
-        "authors_normalized": " | ".join(a.normalized for a in rec.authors),
+        "authors_normalized": json.dumps([a.normalized for a in rec.authors],
+                                         ensure_ascii=False),
         "venue_key": rec.venue_key,
         "year": rec.year,
         "page_url": rec.page_url,

@@ -233,36 +233,40 @@ class TestMockCrawl:
             handle.close()
 
 
+def write_paginated_site(root: Path) -> None:
+    """One venue, one conference, a proceedings page with one pagination hop."""
+    venue_dir = root / "venues"
+    proc_dir = root / "proceedings"
+    venue_dir.mkdir()
+    proc_dir.mkdir()
+    head = '<html><head><base href="https://anthology.test/"></head><body>'
+    (root / "index.html").write_text(
+        head + '<section class="venue-index" data-category="acl-events">'
+               '<a class="venue-link" href="/venues/xx.html">XX</a>'
+               "</section></body></html>")
+    (venue_dir / "xx.html").write_text(
+        head + '<section class="venue-page"><h4 class="year-heading">2020</h4>'
+               '<a class="proceedings-link" href="/proceedings/xx-2020.html">P</a>'
+               "</section></body></html>")
+
+    def entry(n):
+        return (f'<div class="paper-entry"><a class="paper-title" '
+                f'href="/2020.xx-1.{n}/">Paper {n}</a></div>')
+
+    (proc_dir / "xx-2020.html").write_text(
+        head + '<section class="proceedings-page"><div class="paper-list">'
+               + entry(1) + entry(2) +
+               '</div></section><nav class="pagination">'
+               '<a href="/proceedings/xx-2020-p2.html">2</a></nav></body></html>')
+    (proc_dir / "xx-2020-p2.html").write_text(
+        head + '<section class="proceedings-page"><div class="paper-list">'
+               + entry(3) + entry(2) +
+               "</div></section></body></html>")
+
+
 class TestPagination:
     def test_next_page_links_followed_within_task(self, tmp_path):
-        venue_dir = tmp_path / "venues"
-        proc_dir = tmp_path / "proceedings"
-        venue_dir.mkdir()
-        proc_dir.mkdir()
-        head = '<html><head><base href="https://anthology.test/"></head><body>'
-        (tmp_path / "index.html").write_text(
-            head + '<section class="venue-index" data-category="acl-events">'
-                   '<a class="venue-link" href="/venues/xx.html">XX</a>'
-                   "</section></body></html>")
-        (venue_dir / "xx.html").write_text(
-            head + '<section class="venue-page"><h4 class="year-heading">2020</h4>'
-                   '<a class="proceedings-link" href="/proceedings/xx-2020.html">P</a>'
-                   "</section></body></html>")
-
-        def entry(n):
-            return (f'<div class="paper-entry"><a class="paper-title" '
-                    f'href="/2020.xx-1.{n}/">Paper {n}</a></div>')
-
-        (proc_dir / "xx-2020.html").write_text(
-            head + '<section class="proceedings-page"><div class="paper-list">'
-                   + entry(1) + entry(2) +
-                   '</div></section><nav class="pagination">'
-                   '<a href="/proceedings/xx-2020-p2.html">2</a></nav></body></html>')
-        (proc_dir / "xx-2020-p2.html").write_text(
-            head + '<section class="proceedings-page"><div class="paper-list">'
-                   + entry(3) + entry(2) +
-                   "</div></section></body></html>")
-
+        write_paginated_site(tmp_path)
         handle = init_schema(StoreConfig(location=":memory:"))
         config = CrawlConfig(venues=(), year_range=(2019, 2023), workers=2,
                              policy=FAST_POLICY, source=FixtureSource(root=tmp_path))
@@ -272,3 +276,24 @@ class TestPagination:
         assert load_all_papers(handle).ids() == (
             "2020.xx-1.1", "2020.xx-1.2", "2020.xx-1.3")
         handle.close()
+
+    @pytest.mark.parametrize("hop_statuses, status, attempts", [
+        ([503, 200], CrawlStatus.STORED, 3),  # 1 first page + 2 on the hop
+        ([503], CrawlStatus.FAILED, 4),       # 1 first page + 3 exhausted on the hop
+    ])
+    def test_attempts_count_every_hop(self, tmp_path, hop_statuses, status, attempts):
+        write_paginated_site(tmp_path)
+        with ScriptedCorpusServer(tmp_path) as server:
+            server.script("/proceedings/xx-2020-p2.html", hop_statuses)
+            config = CrawlConfig(venues=(), year_range=(2019, 2023), workers=1,
+                                 policy=FAST_POLICY,
+                                 source=MockSource(endpoint=server.base_url))
+            handle = init_schema(StoreConfig(location=":memory:"))
+            report = run_crawl(config, handle)
+            handle.close()
+            counts = server.request_counts()
+        log = report.per_conference["xx-2020"]
+        assert log.status is status
+        assert log.attempts == attempts
+        assert (counts["/proceedings/xx-2020.html"]
+                + counts["/proceedings/xx-2020-p2.html"]) == attempts

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import random
+import sqlite3
 
 import pytest
 
@@ -44,6 +47,69 @@ class TestInitSchema:
         mem_store.close()
         with pytest.raises(StoreUnavailable):
             load_all_papers(mem_store)
+
+    def test_fresh_store_is_at_current_version(self, mem_store):
+        assert mem_store.execute_scalar("PRAGMA user_version") == store_mod.SCHEMA_VERSION == 1
+
+    def test_newer_schema_is_refused(self, tmp_path):
+        path = tmp_path / "future.db"
+        conn = sqlite3.connect(path)
+        conn.execute("PRAGMA user_version = 2")
+        conn.close()
+        with pytest.raises(StoreUnavailable):
+            init_schema(StoreConfig(location=str(path)))
+
+
+# The paper table as version 0 created it; normalized names were joined by " | ".
+V0_PAPER_DDL = """CREATE TABLE paper (
+  anthology_id TEXT PRIMARY KEY, title TEXT NOT NULL, authors TEXT NOT NULL,
+  authors_normalized TEXT NOT NULL, venue_key TEXT NOT NULL, year INTEGER NOT NULL,
+  page_url TEXT NOT NULL, pdf_url TEXT, abstract TEXT, bibkey TEXT)"""
+
+
+def _digest(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestMigration:
+    def test_version0_store_migrates_once(self, tmp_path):
+        path = tmp_path / "old.db"
+        papers = [
+            make_paper(aid="2021.acl-long.1", year=2021, authors=("Ann | Bo", "José  García")),
+            make_paper(aid="2021.acl-long.2", year=2021, authors=()),
+            make_paper(aid="2022.acl-long.1", authors=("A|B", "Wei Chen", "wei chen"),
+                       abstract="An abstract.", bibkey="k1"),
+        ]
+        conn = sqlite3.connect(path)
+        conn.execute(V0_PAPER_DDL)
+        conn.executemany("INSERT INTO paper VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)", [
+            (p.anthology_id, p.title, json.dumps([a.full for a in p.authors], ensure_ascii=False),
+             " | ".join(a.normalized for a in p.authors), p.venue_key, p.year, p.page_url,
+             p.pdf_url, p.abstract, p.bibkey)
+            for p in papers])
+        conn.commit()
+        conn.close()
+
+        with init_schema(StoreConfig(location=str(path))) as h:
+            assert h.execute_scalar("PRAGMA user_version") == 1
+            stored = h.execute_tuples(
+                "SELECT authors_normalized FROM paper ORDER BY anthology_id")
+            assert [json.loads(r[0]) for r in stored] == [
+                ["ann | bo", "jose garcia"], [], ["a|b", "wei chen", "wei chen"]]
+            assert list(load_all_papers(h)) == papers
+            assert h.execute_scalar("SELECT COUNT(*) FROM conference") == 0
+        migrated = _digest(path)
+
+        with init_schema(StoreConfig(location=str(path))) as h:
+            assert list(load_all_papers(h)) == papers
+        assert _digest(path) == migrated
+
+    def test_disagreeing_author_arrays_raise(self):
+        row = dict(zip(store_mod.PAPER_COLUMNS, (
+            "x.1", "T", '["Ann", "Bo"]', '["ann"]', "acl", 2022,
+            "https://anthology.test/x.1/", None, None, None)))
+        with pytest.raises(ValueError):
+            store_mod.paper_from_row(row)
 
 
 class TestUpsertConference:
@@ -117,6 +183,33 @@ class TestUpsertPapers:
         monkeypatch.setattr(store_mod, "_paper_row", real_row)
         assert mem_store.execute_scalar("SELECT COUNT(*) FROM conference") == 0
         assert mem_store.execute_scalar("SELECT COUNT(*) FROM paper") == 0
+
+
+class _FailingCommit:
+    """Connection proxy whose COMMIT fails the way a busy database does."""
+
+    def __init__(self, conn):
+        self._conn = conn
+
+    def execute(self, sql, params=()):
+        if sql == "COMMIT":
+            raise sqlite3.OperationalError("database is locked")
+        return self._conn.execute(sql, params)
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
+class TestWriteBatch:
+    def test_failed_commit_rolls_back_and_raises(self, mem_store, monkeypatch):
+        conn = mem_store._conn
+        monkeypatch.setattr(mem_store, "_conn", _FailingCommit(conn))
+        with pytest.raises(StoreUnavailable):
+            upsert_papers(mem_store, [make_paper(aid="c.1")])
+        assert not conn.in_transaction
+        monkeypatch.setattr(mem_store, "_conn", conn)
+        assert upsert_papers(mem_store, [make_paper(aid="c.2")]) == (1, 0)
+        assert load_all_papers(mem_store).ids() == ("c.2",)
 
 
 class TestLoadAll:
