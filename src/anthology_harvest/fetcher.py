@@ -3,9 +3,9 @@
 Three sources share one interface: ``live`` (the real site), ``mock`` (a
 local scriptable HTTP endpoint), and ``fixture`` (a directory of pages;
 zero network activity).  Network sources honour a retry policy -- 5xx and
-timeouts back off exponentially, 4xx fails immediately -- and a politeness
-rule: consecutive request *starts* across all workers are spaced at least
-``min_interval_ms`` apart, enforced by one shared rate gate.
+transport failures back off exponentially, 4xx fails immediately -- and a
+politeness rule: consecutive request *starts* across all workers are spaced
+at least ``min_interval_ms`` apart, enforced by one shared rate gate.
 
 Every network request carries an ``X-Request-Start`` header holding the
 client's monotonic start time in nanoseconds; the bundled mock server logs
@@ -15,20 +15,30 @@ jitter.
 """
 from __future__ import annotations
 
+import gzip
+import http.client
 import posixpath
 import threading
 import time
+import urllib.error
+import urllib.request
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from urllib.parse import urljoin, urlparse
-
-import requests
+from urllib.parse import quote, urljoin, urlparse
 
 from .errors import Exhausted, NotFound, Unresolvable
 
 USER_AGENT = "anthology-harvest/0.1 (+https://example.invalid/anthology-harvest)"
 FIXTURE_BASE = "https://anthology.test"
 START_HEADER = "X-Request-Start"
+# Characters kept when a URL is percent-encoded for the request line: the
+# reserved set, and "%" so that existing escapes are not encoded twice.
+_URL_SAFE = "!#$%&'()*+,/:;=?@[]~"
+# A transport failure: no connection, timeout, reset, truncated or malformed
+# answer (OSError, HTTPException), or a body that fails gzip decoding
+# (EOFError, zlib.error; BadGzipFile is an OSError).
+_TRANSIENT = (OSError, http.client.HTTPException, EOFError, zlib.error)
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,18 +188,43 @@ def _fixture_fetch(url: str, root: Path) -> FetchResult:
     return FetchResult(url=url, body=body, status=200, attempts_used=1)
 
 
+def _http_get(url: str, headers: dict[str, str], timeout: float) -> tuple[int, bytes]:
+    """One GET over ``urllib.request``; any HTTP answer returns ``(status, body)``.
+
+    An error status comes back as its code with an empty body.  A
+    ``Content-Encoding: gzip`` body is decoded here, since urllib leaves it
+    encoded.  Transport failures raise one of ``_TRANSIENT``; a URL that
+    ``http.client`` rejects raises ``InvalidURL`` or ``UnicodeError``.
+    """
+    request = urllib.request.Request(quote(url, safe=_URL_SAFE), headers=headers)
+    try:
+        resp = urllib.request.urlopen(request, timeout=timeout)
+    except urllib.error.HTTPError as err:
+        err.close()
+        return err.code, b""
+    with resp:
+        body = resp.read()
+        encoding = resp.headers.get("Content-Encoding", "")
+    if encoding.strip().lower() == "gzip":
+        body = gzip.decompress(body)
+    return resp.status, body
+
+
 def fetch(url: str, policy: FetchPolicy, source: Source, *,
           gate: RateGate | None = None) -> FetchResult:
     """Retrieve one page from the given source under the given policy.
 
     Returns the body on 2xx.  Retries with exponential backoff on 5xx and
-    timeouts, up to ``policy.max_attempts``; 4xx fails immediately.  Every
-    attempt counts as a request start for politeness spacing.
+    transport failures (connection errors, timeouts, truncated answers,
+    corrupt gzip bodies), up to ``policy.max_attempts``; 4xx fails
+    immediately.  Every attempt counts as a request start for politeness
+    spacing.
 
     Raises:
         NotFound: 4xx answer, or a missing fixture file.
         Exhausted: all retry attempts spent on transient failures.
-        Unresolvable: malformed URL or unresolvable fixture path.
+        Unresolvable: malformed URL (bad port or host name included) or
+            unresolvable fixture path.
     """
     if isinstance(source, FixtureSource):
         return _fixture_fetch(url, source.root)
@@ -214,17 +249,20 @@ def fetch(url: str, policy: FetchPolicy, source: Source, *,
             START_HEADER: str(slot_ns),
         }
         try:
-            resp = requests.get(url, headers=headers, timeout=timeout)
-        except (requests.Timeout, requests.ConnectionError) as exc:
+            status, body = _http_get(url, headers, timeout)
+        except (http.client.InvalidURL, UnicodeError) as exc:
+            # A non-numeric port or a host name IDNA cannot encode.
+            raise Unresolvable(f"malformed URL {url!r}: {exc}", url=url) from exc
+        except _TRANSIENT as exc:
             last_reason = f"{type(exc).__name__}: {exc}"
         else:
-            if 200 <= resp.status_code < 300:
-                return FetchResult(url=url, body=resp.content,
-                                   status=resp.status_code, attempts_used=attempt)
-            if 400 <= resp.status_code < 500:
-                raise NotFound(f"{url} answered {resp.status_code}",
+            if 200 <= status < 300:
+                return FetchResult(url=url, body=body, status=status,
+                                   attempts_used=attempt)
+            if 400 <= status < 500:
+                raise NotFound(f"{url} answered {status}",
                                url=url, attempts_used=attempt)
-            last_reason = f"status {resp.status_code}"
+            last_reason = f"status {status}"
         if attempt < policy.max_attempts and backoff > 0:
             time.sleep(backoff)
             backoff *= 2

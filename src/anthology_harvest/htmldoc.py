@@ -36,11 +36,20 @@ class Node:
         return name in self.classes()
 
     def iter_nodes(self) -> Iterator["Node"]:
-        """Depth-first iteration over element nodes, document order."""
-        for child in self.children:
-            if isinstance(child, Node):
-                yield child
-                yield from child.iter_nodes()
+        """Depth-first iteration over element nodes, document order.
+
+        An explicit stack of child iterators keeps any nesting depth within
+        the interpreter's recursion limit.
+        """
+        stack = [iter(self.children)]
+        while stack:
+            for child in stack[-1]:
+                if isinstance(child, Node):
+                    yield child
+                    stack.append(iter(child.children))
+                    break
+            else:
+                stack.pop()
 
     def find_all(self, tag: str | None = None, cls: str | None = None,
                  attr: str | None = None) -> list["Node"]:
@@ -74,11 +83,16 @@ class Node:
         return " ".join("".join(parts).split())
 
     def _collect_text(self, parts: list[str]) -> None:
-        for child in self.children:
-            if isinstance(child, str):
-                parts.append(child)
+        stack = [iter(self.children)]
+        while stack:
+            for child in stack[-1]:
+                if isinstance(child, str):
+                    parts.append(child)
+                else:
+                    stack.append(iter(child.children))
+                    break
             else:
-                child._collect_text(parts)
+                stack.pop()
 
 
 class _TreeBuilder(HTMLParser):

@@ -1,7 +1,14 @@
+import gzip
+import os
+import socket
+import subprocess
+import sys
 import threading
+import urllib.error
+import urllib.request
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-import requests
 
 from anthology_harvest import (
     Exhausted,
@@ -16,6 +23,7 @@ from anthology_harvest import (
 )
 from anthology_harvest.fetcher import FIXTURE_BASE, LiveSource
 from anthology_harvest.mockserver import ScriptedCorpusServer
+from conftest import REPO_ROOT
 
 
 @pytest.fixture
@@ -69,9 +77,13 @@ class TestFixtureSource:
     def test_zero_network(self, fixtures_root, monkeypatch):
         def explode(*a, **k):
             raise AssertionError("fixture mode must not touch the network")
-        monkeypatch.setattr(requests, "get", explode)
+        monkeypatch.setattr(urllib.request, "urlopen", explode)
+        monkeypatch.setattr(socket.socket, "connect", explode)
         res = fetch("index.html", FAST, FixtureSource(root=fixtures_root))
         assert res.status == 200
+        # The same patch does catch a network source, so the check above holds.
+        with pytest.raises(AssertionError):
+            fetch("index.html", FAST, MockSource(endpoint="http://127.0.0.1:9"))
 
 
 class TestMockFetch:
@@ -120,6 +132,13 @@ class TestMockFetch:
         with pytest.raises(Unresolvable):
             fetch("not a url", FAST, LiveSource())
 
+    @pytest.mark.parametrize("url", ["http://127.0.0.1:port/x.html", "http://a..b/x.html"],
+                             ids=["non-numeric-port", "empty-host-label"])
+    def test_malformed_host_unresolvable(self, url):
+        with pytest.raises(Unresolvable) as err:
+            fetch(url, FAST, LiveSource())
+        assert err.value.url == url
+
 
 class TestRateGate:
     def test_spacing_across_threads(self, mock_server):
@@ -151,17 +170,135 @@ class TestRateGate:
         assert all(b - a >= 1_000_000 for a, b in zip(slots, slots[1:]))
 
 
+def _get_status(url: str) -> int:
+    try:
+        with urllib.request.urlopen(url) as resp:
+            return resp.status
+    except urllib.error.HTTPError as err:
+        err.close()
+        return err.code
+
+
 class TestMockServerItself:
     def test_scripted_sequence_repeats_last(self, mock_server):
         mock_server.script("/x.html", [503, 200])
         url = mock_server.base_url + "/x.html"
-        assert requests.get(url).status_code == 503
+        assert _get_status(url) == 503
         # The file does not exist, so a scripted 200 falls through to 404.
-        assert requests.get(url).status_code == 404
-        assert requests.get(url).status_code == 404
+        assert _get_status(url) == 404
+        assert _get_status(url) == 404
 
     def test_request_log_records_paths(self, mock_server):
-        requests.get(mock_server.base_url + "/index.html")
-        requests.get(mock_server.base_url + "/index.html?page=2")
+        _get_status(mock_server.base_url + "/index.html")
+        _get_status(mock_server.base_url + "/index.html?page=2")
         counts = mock_server.request_counts()
         assert counts["/index.html"] == 2
+
+
+class ReplyServer:
+    """A local HTTP server answering the n-th request with ``replies[n]``.
+
+    The last reply repeats once the list is spent.  A reply is ``None`` to
+    close the connection without an answer, or ``(headers, body)`` for a 200
+    whose ``Content-Length`` is the body's length unless ``headers`` sets it.
+    """
+
+    def __init__(self, replies):
+        self.replies = list(replies)
+        self.paths: list[str] = []
+        server = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_GET(self) -> None:  # noqa: N802 (http.server API)
+                server.paths.append(self.path)
+                reply = server.replies[min(len(server.paths), len(server.replies)) - 1]
+                if reply is None:
+                    return
+                headers, body = reply
+                self.send_response(200)
+                headers = {"Content-Length": str(len(body)), **headers}
+                for name, value in headers.items():
+                    self.send_header(name, value)
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, fmt: str, *args) -> None:
+                pass
+
+        self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self._httpd.daemon_threads = True
+        # A short poll interval lets shutdown() return without a 0.5 s wait.
+        self._thread = threading.Thread(target=self._httpd.serve_forever,
+                                        kwargs={"poll_interval": 0.01}, daemon=True)
+
+    @property
+    def source(self) -> MockSource:
+        host, port = self._httpd.server_address[:2]
+        return MockSource(endpoint=f"http://{host}:{port}")
+
+    def __enter__(self) -> "ReplyServer":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._httpd.shutdown()
+        self._httpd.server_close()
+        self._thread.join(timeout=5)
+        assert not self._thread.is_alive()
+
+
+PAGE = b"<html><body>page</body></html>"
+GZIP = {"Content-Encoding": "gzip"}
+GZIPPED = gzip.compress(PAGE)
+
+
+class TestTransport:
+    def test_gzip_body_is_decoded(self):
+        with ReplyServer([(GZIP, GZIPPED)]) as server:
+            res = fetch("/p.html", FAST, server.source)
+        assert res.body == PAGE
+        assert res.attempts_used == 1
+
+    def test_dropped_connection_is_retried(self):
+        with ReplyServer([None, ({}, PAGE)]) as server:
+            res = fetch("/p.html", FAST, server.source)
+        assert res.body == PAGE
+        assert res.attempts_used == 2
+        assert server.paths == ["/p.html", "/p.html"]
+
+    @pytest.mark.parametrize("reply", [
+        None,
+        (GZIP, b"not gzip at all"),  # BadGzipFile
+        (GZIP, GZIPPED[:-12]),  # EOFError
+        (GZIP, GZIPPED[:10] + b"\xff" * 8 + GZIPPED[18:]),  # zlib.error
+        ({"Content-Length": str(len(PAGE) + 10)}, PAGE),  # IncompleteRead
+    ], ids=["dropped", "not-gzip", "truncated-gzip", "corrupt-gzip", "short-body"])
+    def test_transport_failures_end_exhausted(self, reply):
+        with ReplyServer([reply]) as server:
+            with pytest.raises(Exhausted) as err:
+                fetch("/p.html", FAST, server.source)
+        assert err.value.attempts_used == FAST.max_attempts
+        assert len(server.paths) == FAST.max_attempts
+
+    def test_request_path_is_percent_encoded(self):
+        with ReplyServer([({}, PAGE)]) as server:
+            fetch(server.source.endpoint + "/a b/caf\u00e9%41.html", FAST, server.source)
+        assert server.paths == ["/a%20b/caf%C3%A9%41.html"]
+
+
+def test_package_runs_without_requests(fixtures_root):
+    script = f"""
+import sys
+sys.modules["requests"] = None
+import anthology_harvest, anthology_harvest.cli
+from anthology_harvest import FetchPolicy, MockSource, fetch
+from anthology_harvest.mockserver import ScriptedCorpusServer
+with ScriptedCorpusServer({str(fixtures_root)!r}) as server:
+    source = MockSource(endpoint=server.base_url)
+    res = fetch(source.start_url, FetchPolicy(min_interval_ms=0), source)
+assert res.body == open({str(fixtures_root / "index.html")!r}, "rb").read()
+"""
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr[-2000:]

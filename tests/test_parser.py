@@ -218,3 +218,34 @@ class TestParseProceedings:
 def test_anthology_id_from_url():
     assert anthology_id_from_url("https://x.test/2022.coling-1.403/") == "2022.coling-1.403"
     assert anthology_id_from_url("https://x.test/a/b/2021.acl-long.9") == "2021.acl-long.9"
+
+
+DEPTH = 5000
+
+
+def nest(html: str) -> str:
+    """``html`` with the body's content inside DEPTH nested ``div``s."""
+    assert "<body>" in html and "</body>" in html
+    return (html.replace("<body>", "<body>" + "<div>" * DEPTH)
+            .replace("</body>", "</div>" * DEPTH + "</body>"))
+
+
+class TestDeepPages:
+    """Nesting depth beyond the recursion limit still parses fully."""
+
+    def test_deep_index(self, corpus):
+        html = corpus("index.html")
+        assert len(parse_index(nest(html))) == 5
+        assert parse_index(nest(html)) == parse_index(html)
+
+    def test_deep_proceedings(self, corpus):
+        conf = make_conference(venue="acl", year=2022)
+        html = corpus("proceedings/acl-2022.html")
+        title = "Event Extraction from Procedural Text"
+        # One title's text also sits DEPTH spans deep inside its anchor.
+        deep = nest(html).replace(f">{title}</a>",
+                                  ">" + "<span>" * DEPTH + title + "</span>" * DEPTH + "</a>")
+        assert deep.count("<span>") >= DEPTH
+        content, papers, report = parse_proceedings(deep, conf)
+        assert papers and title in [p.title for p in papers]
+        assert (content, papers, report) == parse_proceedings(html, conf)
