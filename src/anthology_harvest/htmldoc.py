@@ -4,6 +4,10 @@ The tree keeps element nodes (tag, attributes, children) with raw text as
 plain strings among the children.  Entity references are decoded by the
 underlying parser; ``Node.text()`` flattens inner markup to plain text with
 collapsed whitespace, which is the form record fields use.
+
+``NestingParser`` holds the nesting rules the tree is built by; readers
+that skip the tree (the parser's proceedings pass) subclass it, so every
+page is nested the same way.
 """
 from __future__ import annotations
 
@@ -35,18 +39,19 @@ class Node:
     def has_class(self, name: str) -> bool:
         return name in self.classes()
 
-    def iter_nodes(self) -> Iterator["Node"]:
-        """Depth-first iteration over element nodes, document order.
+    def walk(self) -> Iterator[tuple["Node", "Node"]]:
+        """Depth-first iteration over (parent, element) pairs, document order.
 
         An explicit stack of child iterators keeps any nesting depth within
         the interpreter's recursion limit.
         """
-        stack = [iter(self.children)]
+        stack = [(self, iter(self.children))]
         while stack:
-            for child in stack[-1]:
+            parent, children = stack[-1]
+            for child in children:
                 if isinstance(child, Node):
-                    yield child
-                    stack.append(iter(child.children))
+                    yield parent, child
+                    stack.append((child, iter(child.children)))
                     break
             else:
                 stack.pop()
@@ -54,7 +59,7 @@ class Node:
     def find_all(self, tag: str | None = None, cls: str | None = None,
                  attr: str | None = None) -> list["Node"]:
         out = []
-        for node in self.iter_nodes():
+        for _, node in self.walk():
             if tag is not None and node.tag != tag:
                 continue
             if cls is not None and not node.has_class(cls):
@@ -66,7 +71,7 @@ class Node:
 
     def find(self, tag: str | None = None, cls: str | None = None,
              attr: str | None = None) -> "Node | None":
-        for node in self.iter_nodes():
+        for _, node in self.walk():
             if tag is not None and node.tag != tag:
                 continue
             if cls is not None and not node.has_class(cls):
@@ -95,29 +100,60 @@ class Node:
                 stack.pop()
 
 
-class _TreeBuilder(HTMLParser):
+class NestingParser(HTMLParser):
+    """html.parser events nested by the tolerant rules every page reader
+    here shares: a void or self-closing tag never opens, an end tag closes
+    back to the nearest open element of its name, a stray end tag is
+    ignored, and what is still open at the end stays open.
+
+    A subclass gets ``on_start(tag, attrs, depth, opened)`` for each start
+    tag, ``depth`` being the number of elements open around it, and
+    ``on_close(depth)`` when the open elements at ``depth`` and deeper close.
+    """
+
     def __init__(self) -> None:
         super().__init__(convert_charrefs=True)
+        self._open_tags: list[str] = []
+
+    def on_start(self, tag: str, attrs, depth: int, opened: bool) -> None:
+        raise NotImplementedError
+
+    def on_close(self, depth: int) -> None:
+        raise NotImplementedError
+
+    def handle_starttag(self, tag: str, attrs) -> None:
+        depth = len(self._open_tags)
+        opened = tag not in VOID_TAGS
+        if opened:
+            self._open_tags.append(tag)
+        self.on_start(tag, attrs, depth, opened)
+
+    def handle_startendtag(self, tag: str, attrs) -> None:
+        self.on_start(tag, attrs, len(self._open_tags), False)
+
+    def handle_endtag(self, tag: str) -> None:
+        tags = self._open_tags
+        for depth in range(len(tags) - 1, -1, -1):
+            if tags[depth] == tag:
+                del tags[depth:]
+                self.on_close(depth)
+                return
+
+
+class _TreeBuilder(NestingParser):
+    def __init__(self) -> None:
+        super().__init__()
         self.root = Node("#document")
         self._stack = [self.root]
 
-    def handle_starttag(self, tag: str, attrs) -> None:
+    def on_start(self, tag: str, attrs, depth: int, opened: bool) -> None:
         node = Node(tag, {k: (v if v is not None else "") for k, v in attrs})
         self._stack[-1].children.append(node)
-        if tag not in VOID_TAGS:
+        if opened:
             self._stack.append(node)
 
-    def handle_startendtag(self, tag: str, attrs) -> None:
-        node = Node(tag, {k: (v if v is not None else "") for k, v in attrs})
-        self._stack[-1].children.append(node)
-
-    def handle_endtag(self, tag: str) -> None:
-        # Tolerate unclosed elements: pop to the nearest matching open tag,
-        # ignore stray end tags entirely.
-        for i in range(len(self._stack) - 1, 0, -1):
-            if self._stack[i].tag == tag:
-                del self._stack[i:]
-                return
+    def on_close(self, depth: int) -> None:
+        del self._stack[depth + 1:]
 
     def handle_data(self, data: str) -> None:
         if data:

@@ -78,7 +78,9 @@ class ScriptedCorpusServer:
             self._log.clear()
 
     def start(self) -> "ScriptedCorpusServer":
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        # stop() waits for the serving loop's next poll, so poll often.
+        self._thread = threading.Thread(target=self._httpd.serve_forever,
+                                        kwargs={"poll_interval": 0.05}, daemon=True)
         self._thread.start()
         return self
 

@@ -95,6 +95,10 @@ def normalize_author(full: str) -> AuthorName:
     if not trimmed:
         raise EmptyInput("author name is empty")
     collapsed = _WS_RE.sub(" ", trimmed)
+    if collapsed.isascii():
+        # Decomposition and mark removal leave ASCII as it is, and on ASCII
+        # casefold() is lower().
+        return AuthorName(full=collapsed, normalized=collapsed.lower())
     # Compatibility decomposition can itself introduce whitespace (e.g. a
     # spacing macron decomposes to space + combining mark), so collapse again.
     normalized = _WS_RE.sub(" ", _strip_diacritics(collapsed).casefold()).strip()

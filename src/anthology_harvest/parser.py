@@ -17,6 +17,12 @@ extraction is testable against the bundled fixture corpus:
   ``pagination`` nav of follow-up links;
 * **paper** landing pages carry a ``paper-detail`` block.
 
+Proceedings pages, the large ones, are read in one pass over the
+``html.parser`` events, keeping only the marked elements' attributes and
+text; the other pages are built into an ``htmldoc`` tree and walked.  Both
+read the markup the same way: the tree's tolerant open-element stack, and
+the first match in document order wherever a marker is looked up.
+
 Relative links resolve against the page's ``<base href>``, falling back to
 the ``base_url`` keyword.  A thin adapter mapping a live site's markup onto
 these markers keeps the extraction interface unchanged.
@@ -94,8 +100,9 @@ def classify_page(html: str, source_url: str = "") -> PageKind:
     raise UnrecognizedPage(f"no marker set matches {source_url or '<page>'}")
 
 
-def _resolve(root: htmldoc.Node, href: str, base_url: str | None) -> str:
-    base = htmldoc.base_href(root) or base_url
+def _resolve(base: str | None, href: str) -> str:
+    """``href`` resolved against the page's base (its ``<base href>``, else
+    the caller's ``base_url``); unchanged when there is none."""
     return urljoin(base, href) if base else href
 
 
@@ -113,6 +120,7 @@ def parse_index(html: str, *, base_url: str | None = None
     sections = root.find_all(cls="venue-index")
     if not sections:
         raise StructureError("index page has no category sections")
+    base = htmldoc.base_href(root) or base_url
     out: list[tuple[Category, str, str]] = []
     seen: set[str] = set()
     for section in sections:
@@ -127,7 +135,7 @@ def parse_index(html: str, *, base_url: str | None = None
             if not href or not name:
                 logger.warning("skipping venue link without href or name")
                 continue
-            url = _resolve(root, href, base_url)
+            url = _resolve(base, href)
             if url in seen:
                 logger.warning("dropping duplicate venue link %s", url)
                 continue
@@ -148,11 +156,12 @@ def parse_venue_page(html: str, category: Category, venue_key: str, *,
     """
     root = htmldoc.parse_html(html)
     section = root.find(cls="venue-page")
+    base = htmldoc.base_href(root) or base_url
     records: list[ConferenceRecord] = []
     seen_years: set[int] = set()
     if section is not None:
         year: int | None = None
-        for node in section.iter_nodes():
+        for parent, node in section.walk():
             if node.has_class("year-heading"):
                 text = node.text()
                 try:
@@ -177,8 +186,11 @@ def parse_venue_page(html: str, category: Category, venue_key: str, *,
                     venue_key=venue_key,
                     year=year,
                     title=node.text(),
-                    desc=_sibling_desc(section, node),
-                    url=_resolve(root, href, base_url),
+                    # A link placed directly in the section gets none: the
+                    # section holds every year's links, so a desc there is
+                    # not this link's own.
+                    desc=_event_desc(parent) if parent is not section else None,
+                    url=_resolve(base, href),
                     category=category,
                     crawl_log=CrawlLog(),
                 ))
@@ -187,14 +199,11 @@ def parse_venue_page(html: str, category: Category, venue_key: str, *,
     return records
 
 
-def _sibling_desc(section: htmldoc.Node, anchor: htmldoc.Node) -> str | None:
-    """The event-desc span sharing a parent with the proceedings anchor."""
-    for node in section.iter_nodes():
-        if anchor in node.children:
-            for sibling in node.children:
-                if isinstance(sibling, htmldoc.Node) and sibling.has_class("event-desc"):
-                    text = sibling.text()
-                    return text or None
+def _event_desc(parent: htmldoc.Node) -> str | None:
+    """The text of the first event-desc child of a proceedings link's parent."""
+    for sibling in parent.children:
+        if isinstance(sibling, htmldoc.Node) and sibling.has_class("event-desc"):
+            return sibling.text() or None
     return None
 
 
@@ -205,10 +214,129 @@ def anthology_id_from_url(url: str) -> str:
     return segment
 
 
-def _split_authors(span: htmldoc.Node) -> list[str]:
-    linked = span.find_all(tag="a")
-    if linked:
-        return [a.text() for a in linked if a.text()]
+# (entry key, marker class, anchors only) for the fields of a paper entry.
+_ENTRY_FIELDS = (
+    ("title", "paper-title", True),
+    ("authors", "paper-authors", False),
+    ("abstract", "paper-abstract", False),
+    ("pdf", "pdf-link", True),
+    ("bibkey", "bibkey", False),
+)
+
+
+class _Marked:
+    """What the pass keeps of one marked element: its href, the text data
+    inside it, and, for an author span, the anchors inside it."""
+
+    __slots__ = ("href", "parts", "anchors")
+
+    def __init__(self, href: str | None):
+        self.href = href
+        self.parts: list[str] = []
+        self.anchors: list[_Marked] = []
+
+    def text(self) -> str:
+        """Concatenated descendant text with whitespace collapsed."""
+        return " ".join("".join(self.parts).split())
+
+
+class _ProceedingsPass(htmldoc.NestingParser):
+    """One pass over a proceedings page, keeping only the marked elements.
+
+    Elements nest as in the ``htmldoc`` tree.  An element is a descendant
+    of every element open when it starts, so the first match of a marker
+    inside an element is the first one to start while that element is
+    open, as ``Node.find`` gives it.  Hrefs are kept raw: a ``<base>`` may
+    come after the links it applies to.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.base_seen = False
+        self.base: str | None = None    # href of the first <base>
+        self.container_seen = False     # the first paper-list
+        self.entries: list[dict[str, _Marked]] = []  # every entry inside it
+        self.nav_seen = False           # the first pagination element
+        self.nav_hrefs: list[str] = []  # hrefs of the anchors inside it
+        # One (depth, list) per open marked element, by depth: closing
+        # depth d and deeper pops these and the lists' tails.
+        self._marks: list[tuple[int, list]] = []
+        self._texts: list[list[str]] = []
+        self._entries: list[dict[str, _Marked]] = []
+        self._spans: list[_Marked] = []
+        self._in_container: list[bool] = []
+        self._in_nav: list[bool] = []
+
+    def _open(self, stack: list, item, depth: int) -> None:
+        stack.append(item)
+        self._marks.append((depth, stack))
+
+    def on_start(self, tag: str, attrs, depth: int, opened: bool) -> None:
+        cls = href = None
+        for name, value in attrs:  # the last duplicate wins, as in a dict
+            if name == "class":
+                cls = value
+            elif name == "href":
+                href = value or ""
+        # Descendant checks come first: an element is not its own descendant.
+        if tag == "a":
+            if self._spans:
+                anchor = _Marked(href)
+                for span in self._spans:
+                    span.anchors.append(anchor)
+                if opened:
+                    self._open(self._texts, anchor.parts, depth)
+            if self._in_nav and href:
+                self.nav_hrefs.append(href)
+        elif tag == "base" and not self.base_seen:
+            self.base_seen = True
+            self.base = href or None
+        if not cls:
+            return
+        classes = cls.split()
+        if self._entries:
+            marked = None
+            is_span = False
+            for key, marker, anchors_only in _ENTRY_FIELDS:
+                if marker not in classes or (anchors_only and tag != "a"):
+                    continue
+                for entry in self._entries:
+                    if key not in entry:
+                        marked = marked or _Marked(href)
+                        entry[key] = marked
+                        is_span = is_span or key == "authors"
+            if marked is not None and opened:
+                self._open(self._texts, marked.parts, depth)
+                if is_span:
+                    self._open(self._spans, marked, depth)
+        if "paper-entry" in classes and self._in_container:
+            entry: dict[str, _Marked] = {}
+            self.entries.append(entry)
+            if opened:
+                self._open(self._entries, entry, depth)
+        if "paper-list" in classes and not self.container_seen:
+            self.container_seen = True
+            if opened:
+                self._open(self._in_container, True, depth)
+        if "pagination" in classes and not self.nav_seen:
+            self.nav_seen = True
+            if opened:
+                self._open(self._in_nav, True, depth)
+
+    def on_close(self, depth: int) -> None:
+        marks = self._marks
+        while marks and marks[-1][0] >= depth:
+            marks.pop()[1].pop()
+
+    def handle_data(self, data: str) -> None:
+        for parts in self._texts:
+            parts.append(data)
+
+
+def _split_authors(span: _Marked) -> list[str]:
+    if span.anchors:
+        names = [a.text() for a in span.anchors]
+        return [name for name in names if name]
     text = span.text()
     if not text:
         return []
@@ -229,26 +357,29 @@ def parse_proceedings(html: str, conference: ConferenceRecord, *,
     Raises:
         StructureError: if the paper-list container is absent.
     """
-    root = htmldoc.parse_html(html)
-    container = root.find(cls="paper-list")
-    if container is None:
+    page = _ProceedingsPass()
+    page.feed(html)
+    page.close()
+    if not page.container_seen:
         raise StructureError(f"no paper-list container on {conference.conf_id}")
+    base = page.base or base_url
 
     warnings: list[str] = []
     papers: list[PaperRecord] = []
     landing_links: list[str] = []
     seen_ids: set[str] = set()
 
-    for position, entry in enumerate(container.find_all(cls="paper-entry"), start=1):
-        title_anchor = entry.find(tag="a", cls="paper-title")
-        if title_anchor is None or not title_anchor.text():
+    for position, entry in enumerate(page.entries, start=1):
+        title_anchor = entry.get("title")
+        title = title_anchor.text() if title_anchor is not None else ""
+        if not title:
             warnings.append(f"entry {position}: no title, skipped")
             continue
-        href = title_anchor.attrs.get("href")
+        href = title_anchor.href
         if not href:
             warnings.append(f"entry {position}: title anchor has no href, skipped")
             continue
-        page_url = _resolve(root, href, base_url)
+        page_url = _resolve(base, href)
         anthology_id = anthology_id_from_url(page_url)
         if not anthology_id:
             warnings.append(f"entry {position}: no id in {page_url}, skipped")
@@ -257,7 +388,7 @@ def parse_proceedings(html: str, conference: ConferenceRecord, *,
             warnings.append(f"entry {position}: duplicate id {anthology_id}, skipped")
             continue
 
-        author_span = entry.find(cls="paper-authors")
+        author_span = entry.get("authors")
         authors = []
         if author_span is not None:
             for name in _split_authors(author_span):
@@ -266,25 +397,25 @@ def parse_proceedings(html: str, conference: ConferenceRecord, *,
                 except EmptyInput:
                     continue
 
-        abstract_node = entry.find(cls="paper-abstract")
+        abstract_node = entry.get("abstract")
         abstract = abstract_node.text() if abstract_node is not None else None
         if abstract == "":
             abstract = None
             warnings.append(f"entry {position}: empty abstract block")
 
-        pdf_anchor = entry.find(tag="a", cls="pdf-link")
+        pdf_anchor = entry.get("pdf")
         pdf_url = None
-        if pdf_anchor is not None and pdf_anchor.attrs.get("href"):
-            pdf_url = _resolve(root, pdf_anchor.attrs["href"], base_url)
+        if pdf_anchor is not None and pdf_anchor.href:
+            pdf_url = _resolve(base, pdf_anchor.href)
 
-        bibkey_node = entry.find(cls="bibkey")
+        bibkey_node = entry.get("bibkey")
         bibkey = bibkey_node.text() if bibkey_node is not None else None
 
         seen_ids.add(anthology_id)
         landing_links.append(page_url)
         papers.append(PaperRecord(
             anthology_id=anthology_id,
-            title=title_anchor.text(),
+            title=title,
             authors=tuple(authors),
             venue_key=conference.venue_key,
             year=conference.year,
@@ -294,18 +425,10 @@ def parse_proceedings(html: str, conference: ConferenceRecord, *,
             bibkey=bibkey or None,
         ))
 
-    next_links: list[str] = []
-    nav = root.find(cls="pagination")
-    if nav is not None:
-        for anchor in nav.find_all(tag="a"):
-            href = anchor.attrs.get("href")
-            if href:
-                next_links.append(_resolve(root, href, base_url))
-
     content = ConContent(
         conference=conference,
         paper_page_links=tuple(landing_links),
-        next_page_links=tuple(next_links),
+        next_page_links=tuple(_resolve(base, href) for href in page.nav_hrefs),
     )
     report = ParseReport(
         records_extracted=len(papers),

@@ -15,6 +15,7 @@ failing task is recorded as failed and never blocks the others.
 from __future__ import annotations
 
 import json
+import logging
 import queue
 import sys
 import threading
@@ -33,6 +34,8 @@ from .model import (
     PaperRecord,
     canonical_venue,
 )
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -170,7 +173,8 @@ class CrawlSession:
     def _fetch_and_parse(self, conf: ConferenceRecord
                          ) -> tuple[list[PaperRecord], int]:
         """Fetch the proceedings page plus pagination hops; returns
-        (papers, attempts spent on every page).
+        (papers, attempts spent on every page).  Each page's parse warnings
+        are logged as they come, prefixed with the conf_id.
 
         Raises:
             FetchError: a page failed; its ``attempts_used`` includes the
@@ -193,8 +197,10 @@ class CrawlSession:
                 exc.attempts_used += attempts
                 raise
             attempts += page.attempts_used
-            content, papers, _report = parser.parse_proceedings(
+            content, papers, report = parser.parse_proceedings(
                 page.body.decode("utf-8", errors="replace"), conf)
+            for warning in report.warnings:
+                logger.warning("%s: %s", conf.conf_id, warning)
             for p in papers:
                 merged.setdefault(p.anthology_id, p)
             frontier.extend(u for u in content.next_page_links if u not in visited)

@@ -1,15 +1,29 @@
-"""Brute-force reference engine for query results.
+"""Reference implementations that tests compare the program against.
 
-Evaluates a QueryAst over plain dict rows entirely in Python, independent
-of the SQL path: its own record->row mapping, its own LIKE matcher, its own
-three-valued comparison handling, and its own ordering/pagination.  Tests
-compare execute() output against this engine exactly.
+* A brute-force engine for query results: it evaluates a QueryAst over
+  plain dict rows entirely in Python, independent of the SQL path: its own
+  record->row mapping, its own LIKE matcher, its own three-valued
+  comparison handling, and its own ordering/pagination.  Tests compare
+  execute() output against this engine exactly.
+* ``parse_proceedings`` as extraction over an ``htmldoc`` tree: the page is
+  built into a Node tree, then each field is the first match of a ``find``
+  walk.  Tests compare the single-pass ``parser.parse_proceedings`` against
+  it on generated and fixture pages.
 """
 from __future__ import annotations
 
 import json
+from urllib.parse import urljoin
 
-from anthology_harvest.model import PaperRecord
+from anthology_harvest import htmldoc
+from anthology_harvest.errors import EmptyInput, StructureError
+from anthology_harvest.model import (
+    ConContent,
+    ConferenceRecord,
+    PaperRecord,
+    normalize_author,
+)
+from anthology_harvest.parser import _AUTHOR_SPLIT_RE, ParseReport, anthology_id_from_url
 from anthology_harvest.query import Condition, ConditionGroup, QueryAst
 
 PK = {"paper": "anthology_id", "conference": "conf_id"}
@@ -219,3 +233,121 @@ def eval_ast(rows: list[dict], ast: QueryAst):
                 deduped.append(row)
         projected = _sort_rows(deduped, _ordering(ast))
     return _paginate(projected, ast)
+
+
+# -- proceedings pages over a Node tree --------------------------------------
+
+
+def _resolve(root: htmldoc.Node, href: str, base_url: str | None) -> str:
+    base = htmldoc.base_href(root) or base_url
+    return urljoin(base, href) if base else href
+
+
+def _split_authors(span: htmldoc.Node) -> list[str]:
+    linked = span.find_all(tag="a")
+    if linked:
+        return [a.text() for a in linked if a.text()]
+    text = span.text()
+    if not text:
+        return []
+    return [part.strip() for part in _AUTHOR_SPLIT_RE.split(text) if part.strip()]
+
+
+def parse_proceedings(html: str, conference: ConferenceRecord, *,
+                      base_url: str | None = None
+                      ) -> tuple[ConContent, list[PaperRecord], ParseReport]:
+    """Extract the papers listed on a proceedings page.
+
+    Each entry yields one PaperRecord inheriting ``venue_key`` and ``year``
+    from ``conference``.  Entries missing a title are skipped with a
+    warning; missing abstracts, PDF links, or bibkeys leave those fields
+    absent.  The returned ConContent carries the per-paper landing links
+    and any pagination links for the next crawl hop.
+
+    Raises:
+        StructureError: if the paper-list container is absent.
+    """
+    root = htmldoc.parse_html(html)
+    container = root.find(cls="paper-list")
+    if container is None:
+        raise StructureError(f"no paper-list container on {conference.conf_id}")
+
+    warnings: list[str] = []
+    papers: list[PaperRecord] = []
+    landing_links: list[str] = []
+    seen_ids: set[str] = set()
+
+    for position, entry in enumerate(container.find_all(cls="paper-entry"), start=1):
+        title_anchor = entry.find(tag="a", cls="paper-title")
+        if title_anchor is None or not title_anchor.text():
+            warnings.append(f"entry {position}: no title, skipped")
+            continue
+        href = title_anchor.attrs.get("href")
+        if not href:
+            warnings.append(f"entry {position}: title anchor has no href, skipped")
+            continue
+        page_url = _resolve(root, href, base_url)
+        anthology_id = anthology_id_from_url(page_url)
+        if not anthology_id:
+            warnings.append(f"entry {position}: no id in {page_url}, skipped")
+            continue
+        if anthology_id in seen_ids:
+            warnings.append(f"entry {position}: duplicate id {anthology_id}, skipped")
+            continue
+
+        author_span = entry.find(cls="paper-authors")
+        authors = []
+        if author_span is not None:
+            for name in _split_authors(author_span):
+                try:
+                    authors.append(normalize_author(name))
+                except EmptyInput:
+                    continue
+
+        abstract_node = entry.find(cls="paper-abstract")
+        abstract = abstract_node.text() if abstract_node is not None else None
+        if abstract == "":
+            abstract = None
+            warnings.append(f"entry {position}: empty abstract block")
+
+        pdf_anchor = entry.find(tag="a", cls="pdf-link")
+        pdf_url = None
+        if pdf_anchor is not None and pdf_anchor.attrs.get("href"):
+            pdf_url = _resolve(root, pdf_anchor.attrs["href"], base_url)
+
+        bibkey_node = entry.find(cls="bibkey")
+        bibkey = bibkey_node.text() if bibkey_node is not None else None
+
+        seen_ids.add(anthology_id)
+        landing_links.append(page_url)
+        papers.append(PaperRecord(
+            anthology_id=anthology_id,
+            title=title_anchor.text(),
+            authors=tuple(authors),
+            venue_key=conference.venue_key,
+            year=conference.year,
+            page_url=page_url,
+            pdf_url=pdf_url,
+            abstract=abstract,
+            bibkey=bibkey or None,
+        ))
+
+    next_links: list[str] = []
+    nav = root.find(cls="pagination")
+    if nav is not None:
+        for anchor in nav.find_all(tag="a"):
+            href = anchor.attrs.get("href")
+            if href:
+                next_links.append(_resolve(root, href, base_url))
+
+    content = ConContent(
+        conference=conference,
+        paper_page_links=tuple(landing_links),
+        next_page_links=tuple(next_links),
+    )
+    report = ParseReport(
+        records_extracted=len(papers),
+        warnings=tuple(warnings),
+        source_url=conference.url,
+    )
+    return content, papers, report

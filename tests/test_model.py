@@ -16,6 +16,7 @@ from anthology_harvest import (
     normalize_author,
     parse_conf_id,
 )
+from anthology_harvest.model import _WS_RE, _strip_diacritics
 from conftest import make_conference, make_paper
 
 
@@ -73,6 +74,18 @@ class TestNormalizeAuthor:
         assert "  " not in name.normalized
         # Pure function: same input, same output.
         assert normalize_author(raw) == name
+
+    @settings(max_examples=300)
+    @given(st.one_of(st.text(st.characters(max_codepoint=127)), st.text()))
+    def test_ascii_fast_path_equals_full_pipeline(self, raw):
+        # The documented pipeline, applied in full to every input.
+        collapsed = _WS_RE.sub(" ", raw.strip())
+        if not collapsed:
+            with pytest.raises(EmptyInput):
+                normalize_author(raw)
+            return
+        normalized = _WS_RE.sub(" ", _strip_diacritics(collapsed).casefold()).strip()
+        assert normalize_author(raw) == AuthorName(full=collapsed, normalized=normalized)
 
 
 class TestRecords:

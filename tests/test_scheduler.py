@@ -1,3 +1,4 @@
+import logging
 import threading
 import time
 from pathlib import Path
@@ -16,6 +17,8 @@ from anthology_harvest import (
     init_schema,
     load_all_conferences,
     load_all_papers,
+    parse_conf_id,
+    parse_proceedings,
     plan_tasks,
     progress_snapshot,
     run_crawl,
@@ -98,6 +101,24 @@ class TestFixtureCrawl:
         from anthology_harvest import execute, table
         assert execute(handle, table("paper").min("year").build()) == 2019
         handle.close()
+
+    def test_parse_warnings_are_logged(self, fixtures_root, manifest, caplog):
+        # Each proceedings page's parse warnings, as the parser reports them.
+        expected = []
+        for page in manifest["pages"]:
+            if page["kind"] == "proceedings":
+                conf_id = page["path"].removeprefix("proceedings/").removesuffix(".html")
+                venue, year = parse_conf_id(conf_id)
+                html = (fixtures_root / page["path"]).read_text(encoding="utf-8")
+                _, _, report = parse_proceedings(html, make_conference(venue, year))
+                expected += [f"{conf_id}: {w}" for w in report.warnings]
+        assert "coling-2019: entry 3: no title, skipped" in expected
+        with caplog.at_level(logging.WARNING, logger="anthology_harvest.scheduler"):
+            handle, _ = crawl_fixture(fixtures_root)
+        handle.close()
+        logged = [r.getMessage() for r in caplog.records
+                  if r.name == "anthology_harvest.scheduler"]
+        assert sorted(logged) == sorted(expected)
 
     def test_worker_count_invariance(self, fixtures_root):
         results = {}
@@ -276,6 +297,21 @@ class TestPagination:
         assert load_all_papers(handle).ids() == (
             "2020.xx-1.1", "2020.xx-1.2", "2020.xx-1.3")
         handle.close()
+
+    def test_hop_parse_warnings_are_logged(self, tmp_path, caplog):
+        write_paginated_site(tmp_path)
+        hop = tmp_path / "proceedings" / "xx-2020-p2.html"
+        hop.write_text(hop.read_text().replace(
+            "</div></section>", '<div class="paper-entry"></div></div></section>'))
+        handle = init_schema(StoreConfig(location=":memory:"))
+        config = CrawlConfig(venues=(), year_range=(2019, 2023), workers=1,
+                             policy=FAST_POLICY, source=FixtureSource(root=tmp_path))
+        with caplog.at_level(logging.WARNING, logger="anthology_harvest.scheduler"):
+            report = run_crawl(config, handle)
+        handle.close()
+        assert report.papers_stored == 3
+        assert [r.getMessage() for r in caplog.records] == [
+            "xx-2020: entry 3: no title, skipped"]
 
     @pytest.mark.parametrize("hop_statuses, status, attempts", [
         ([503, 200], CrawlStatus.STORED, 3),  # 1 first page + 2 on the hop
