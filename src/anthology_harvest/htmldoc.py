@@ -1,16 +1,22 @@
-"""A small DOM built on html.parser, enough for heuristic page extraction.
+"""A small DOM over html.parser events, enough for heuristic page extraction.
 
 The tree keeps element nodes (tag, attributes, children) with raw text as
 plain strings among the children.  Entity references are decoded by the
-underlying parser; ``Node.text()`` flattens inner markup to plain text with
+tokenizer; ``Node.text()`` flattens inner markup to plain text with
 collapsed whitespace, which is the form record fields use.
 
-``NestingParser`` holds the nesting rules the tree is built by; readers
-that skip the tree (the parser's proceedings pass) subclass it, so every
-page is nested the same way.
+``scan`` tokenizes a page with one compiled pattern and makes the handler
+calls ``html.parser`` would make, or declines a page outside its narrow
+grammar.  ``NestingParser`` holds the nesting rules the tree is built by,
+and ``NestingParser.read`` feeds a page to a reader by ``scan``, or by
+``html.parser`` when ``scan`` declines; readers that skip the tree (the
+parser's proceedings pass) subclass it, so every page is tokenized and
+nested the same way.
 """
 from __future__ import annotations
 
+import re
+from html import unescape
 from html.parser import HTMLParser
 from typing import Iterator
 
@@ -19,7 +25,103 @@ VOID_TAGS = {
     "link", "meta", "param", "source", "track", "wbr",
 }
 
-_WS = " \t\n\r\f\v"
+# Elements whose content html.parser versions read as raw text (script,
+# style; newer ones more), or as text with character references only
+# (title, textarea, in newer versions).  ``scan`` declines a page holding
+# one of the first, and reads the second only when plain text alone comes
+# before the element's end tag, which every version reads alike.
+_RAW_TEXT = {"script", "style", "xmp", "iframe", "noembed", "noframes",
+             "noscript", "plaintext"}
+_PLAIN_TEXT = {"title", "textarea"}
+
+# Whitespace inside a tag: the ASCII set, which every html.parser version
+# agrees on (older ones also took any Unicode whitespace).
+_S = r"[ \t\n\r\f]"
+_NAME = r"[a-zA-Z][-a-zA-Z0-9]*"
+_ATTR_NAME = r"[a-zA-Z_:][-a-zA-Z0-9_:.]*"
+_ATTR_VALUE = r""""[^"]*"|'[^']*'|[^\s"'=<>`]+"""
+_ATTR_RE = re.compile(rf"{_S}+({_ATTR_NAME})(?:{_S}*={_S}*({_ATTR_VALUE}))?")
+
+# One alternative per token, as the "Writing a Tokenizer" recipe of the re
+# module's documentation: ``lastgroup`` names the one that matched.  A
+# ``<`` that starts none of the others, or a construct cut off at the end
+# of the input, matches ``bad``.
+_TOKEN = re.compile(
+    r"(?P<text>[^<]+)"
+    rf"|(?P<start><(?P<tag>{_NAME})"
+    rf"(?P<attrs>(?:{_S}+{_ATTR_NAME}(?:{_S}*={_S}*(?:{_ATTR_VALUE}))?)*)"
+    rf"{_S}*(?P<slash>/?)>)"
+    rf"|(?P<end></(?P<endtag>{_NAME}){_S}*>)"
+    # html.parser versions differ on "<!-->" and "<!--->", and on whether
+    # "--!>" or "-- >" ends a comment: ``scan`` declines all four.
+    r"|(?P<comment><!--(?!-?>)(?P<body>(?s:.*?))-->)"
+    r"|(?P<decl><!(?P<doctype>[dD][oO][cC][tT][yY][pP][eE][^<>]*)>)"
+    r"|(?P<bad><)")
+_COMMENT_END_RE = re.compile(r"--!>|--\s+>")
+
+
+def _attr_value(raw: str) -> str | None:
+    if not raw:
+        return None
+    if raw[0] in "\"'":
+        raw = raw[1:-1]
+    return unescape(raw)
+
+
+def scan(html: str, handler) -> bool:
+    """Tokenize ``html`` into the handler calls ``html.parser`` would make.
+
+    With ``convert_charrefs=True``, html.parser lowercases tag and attribute
+    names, unescapes data and attribute values, gives a valueless attribute
+    None, keeps duplicate attributes in order and ends a run of data at
+    every tag, comment and doctype; so does this.  The grammar is narrower:
+    a page holding raw-text elements (script, style), a title or textarea
+    holding more than plain text, ``<?``, a ``<!`` that is not a plain
+    comment or a doctype, ``</`` not followed by a letter, a ``<`` that
+    starts no token, or a construct cut off at the end is declined.
+    Returns False on a decline, after which the handler holds a partial
+    page and must be dropped.
+    """
+    data = handler.handle_data
+    start = handler.handle_starttag
+    startend = handler.handle_startendtag
+    end = handler.handle_endtag
+    plain_text = None  # the title or textarea whose end tag must come next
+    for m in _TOKEN.finditer(html):
+        kind = m.lastgroup
+        if plain_text is not None and kind != "text":
+            if kind != "end" or m.group("endtag").lower() != plain_text:
+                return False
+            plain_text = None
+        if kind == "text":
+            data(unescape(m.group()))
+        elif kind == "start":
+            tag, raw, slash = m.group("tag", "attrs", "slash")
+            tag = tag.lower()
+            if tag in _RAW_TEXT:
+                return False
+            attrs = ([(name.lower(), _attr_value(value))
+                      for name, value in _ATTR_RE.findall(raw)] if raw else [])
+            if slash:
+                if tag in _PLAIN_TEXT:
+                    return False
+                startend(tag, attrs)
+            else:
+                start(tag, attrs)
+                if tag in _PLAIN_TEXT:
+                    plain_text = tag
+        elif kind == "end":
+            end(m.group("endtag").lower())
+        elif kind == "comment":
+            body = m.group("body")
+            if _COMMENT_END_RE.search(body):
+                return False
+            handler.handle_comment(body)
+        elif kind == "decl":
+            handler.handle_decl(m.group("doctype"))
+        else:
+            return False
+    return plain_text is None
 
 
 class Node:
@@ -115,6 +217,18 @@ class NestingParser(HTMLParser):
         super().__init__(convert_charrefs=True)
         self._open_tags: list[str] = []
 
+    @classmethod
+    def read(cls, html: str):
+        """A new reader given the whole of ``html``: by ``scan``, or, when
+        ``scan`` declines the page, by html.parser into a fresh reader."""
+        reader = cls()
+        if scan(html, reader):
+            return reader
+        reader = cls()
+        reader.feed(html)
+        reader.close()
+        return reader
+
     def on_start(self, tag: str, attrs, depth: int, opened: bool) -> None:
         raise NotImplementedError
 
@@ -162,10 +276,7 @@ class _TreeBuilder(NestingParser):
 
 def parse_html(html: str) -> Node:
     """Parse HTML text into a Node tree rooted at a synthetic document node."""
-    builder = _TreeBuilder()
-    builder.feed(html)
-    builder.close()
-    return builder.root
+    return _TreeBuilder.read(html).root
 
 
 def base_href(root: Node) -> str | None:

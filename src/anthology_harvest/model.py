@@ -105,7 +105,21 @@ def normalize_author(full: str) -> AuthorName:
     return AuthorName(full=collapsed, normalized=normalized)
 
 
+# The origin of a plain http(s) URL: a URL this matches at its start has,
+# by urlparse, this scheme and netloc, for the netloc runs to the first "/",
+# "?" or "#" and holds nothing urlparse checks or strips (brackets,
+# non-ASCII, whitespace).
+PLAIN_ORIGIN_RE = re.compile(r"https?://[A-Za-z0-9.-]+(?::[0-9]*)?(?=[/?#]|\Z)")
+
+
 def is_absolute_url(url: str) -> bool:
+    """Whether ``urlparse`` gives ``url`` scheme http(s) and a netloc.
+
+    Raises:
+        ValueError: where ``urlparse`` raises it (a malformed IPv6 netloc).
+    """
+    if PLAIN_ORIGIN_RE.match(url):
+        return True
     parts = urlparse(url)
     return parts.scheme in ("http", "https") and bool(parts.netloc)
 

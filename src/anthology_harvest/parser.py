@@ -18,13 +18,16 @@ extraction is testable against the bundled fixture corpus:
 * **paper** landing pages carry a ``paper-detail`` block.
 
 Proceedings pages, the large ones, are read in one pass over the
-``html.parser`` events, keeping only the marked elements' attributes and
-text; the other pages are built into an ``htmldoc`` tree and walked.  Both
-read the markup the same way: the tree's tolerant open-element stack, and
-the first match in document order wherever a marker is looked up.
+tokenizer's events (``htmldoc.NestingParser.read``), keeping only the
+marked elements' attributes and text; the other pages are built into an
+``htmldoc`` tree and walked.  Both read the markup the same way: the same
+events, the tree's tolerant open-element stack, and the first match in
+document order wherever a marker is looked up.
 
 Relative links resolve against the page's ``<base href>``, falling back to
-the ``base_url`` keyword.  A thin adapter mapping a live site's markup onto
+the ``base_url`` keyword; a venue link's ``event-desc`` is the first one
+after it among its parent's children, before the parent's next
+proceedings link.  A thin adapter mapping a live site's markup onto
 these markers keeps the extraction interface unchanged.
 
 All operations are pure functions of their inputs; they are safe to call
@@ -37,13 +40,14 @@ from __future__ import annotations
 import logging
 import posixpath
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import Enum
 from urllib.parse import urljoin, urlparse
 
 from . import htmldoc
 from .errors import EmptyInput, StructureError, UnrecognizedPage
 from .model import (
+    PLAIN_ORIGIN_RE,
     Category,
     ConContent,
     ConferenceRecord,
@@ -100,10 +104,27 @@ def classify_page(html: str, source_url: str = "") -> PageKind:
     raise UnrecognizedPage(f"no marker set matches {source_url or '<page>'}")
 
 
-def _resolve(base: str | None, href: str) -> str:
+# The common case of a link, resolved without urljoin: a base with a plain
+# origin (``PLAIN_ORIGIN_RE``) and an href that is a plain absolute path (no
+# query, fragment, params, "//", dot segment, whitespace, control or
+# non-ASCII character).  urljoin gives such a pair origin + href.
+_PLAIN_PATH_RE = re.compile(r"(?:/(?![./])[^\x00-\x20\x7f/?#;]*)+")
+
+
+def _join(base: str | None, href: str) -> tuple[str, str | None]:
     """``href`` resolved against the page's base (its ``<base href>``, else
-    the caller's ``base_url``); unchanged when there is none."""
-    return urljoin(base, href) if base else href
+    the caller's ``base_url``; unchanged when there is none), with the
+    resolved URL's path where it is known without parsing the URL."""
+    if not base:
+        return href, None
+    origin = PLAIN_ORIGIN_RE.match(base)
+    if origin is not None and href.isascii() and _PLAIN_PATH_RE.fullmatch(href):
+        return origin.group() + href, href
+    return urljoin(base, href), None
+
+
+def _resolve(base: str | None, href: str) -> str:
+    return _join(base, href)[0]
 
 
 def parse_index(html: str, *, base_url: str | None = None
@@ -159,6 +180,12 @@ def parse_venue_page(html: str, category: Category, venue_key: str, *,
     base = htmldoc.base_href(root) or base_url
     records: list[ConferenceRecord] = []
     seen_years: set[int] = set()
+    # The parent of the last proceedings link walked, and the index of its
+    # record while that record may still take a desc: the first event-desc
+    # after a link among its parent's children, before the parent's next
+    # proceedings link, is that link's alone.
+    link_parent: htmldoc.Node | None = None
+    claimant: int | None = None
     if section is not None:
         year: int | None = None
         for parent, node in section.walk():
@@ -170,6 +197,7 @@ def parse_venue_page(html: str, category: Category, venue_key: str, *,
                     logger.warning("skipping non-numeric year heading %r", text)
                     year = None
             elif node.tag == "a" and node.has_class("proceedings-link"):
+                link_parent, claimant = parent, None
                 if year is None:
                     logger.warning("skipping proceedings link outside a year group")
                     continue
@@ -181,37 +209,37 @@ def parse_venue_page(html: str, category: Category, venue_key: str, *,
                 if not href:
                     continue
                 seen_years.add(year)
+                # A link placed directly in the section gets no desc: the
+                # section holds every year's links, so a desc there is not
+                # this link's own.
+                if parent is not section:
+                    claimant = len(records)
                 records.append(ConferenceRecord(
                     conf_id=make_conf_id(venue_key, year),
                     venue_key=venue_key,
                     year=year,
                     title=node.text(),
-                    # A link placed directly in the section gets none: the
-                    # section holds every year's links, so a desc there is
-                    # not this link's own.
-                    desc=_event_desc(parent) if parent is not section else None,
                     url=_resolve(base, href),
                     category=category,
                     crawl_log=CrawlLog(),
                 ))
+            elif node.has_class("event-desc") and parent is link_parent:
+                if claimant is not None:
+                    records[claimant] = replace(records[claimant],
+                                                desc=node.text() or None)
+                link_parent = claimant = None
     if not records:
         raise StructureError(f"venue page for {venue_key!r} has no year-grouped links")
     return records
 
 
-def _event_desc(parent: htmldoc.Node) -> str | None:
-    """The text of the first event-desc child of a proceedings link's parent."""
-    for sibling in parent.children:
-        if isinstance(sibling, htmldoc.Node) and sibling.has_class("event-desc"):
-            return sibling.text() or None
-    return None
-
-
 def anthology_id_from_url(url: str) -> str:
     """The paper identifier encoded as the final path segment of its URL."""
-    path = urlparse(url).path
-    segment = posixpath.basename(path.rstrip("/"))
-    return segment
+    return _id_from_path(urlparse(url).path)
+
+
+def _id_from_path(path: str) -> str:
+    return posixpath.basename(path.rstrip("/"))
 
 
 # (entry key, marker class, anchors only) for the fields of a paper entry.
@@ -357,9 +385,7 @@ def parse_proceedings(html: str, conference: ConferenceRecord, *,
     Raises:
         StructureError: if the paper-list container is absent.
     """
-    page = _ProceedingsPass()
-    page.feed(html)
-    page.close()
+    page = _ProceedingsPass.read(html)
     if not page.container_seen:
         raise StructureError(f"no paper-list container on {conference.conf_id}")
     base = page.base or base_url
@@ -379,8 +405,9 @@ def parse_proceedings(html: str, conference: ConferenceRecord, *,
         if not href:
             warnings.append(f"entry {position}: title anchor has no href, skipped")
             continue
-        page_url = _resolve(base, href)
-        anthology_id = anthology_id_from_url(page_url)
+        page_url, path = _join(base, href)
+        anthology_id = (_id_from_path(path) if path is not None
+                        else anthology_id_from_url(page_url))
         if not anthology_id:
             warnings.append(f"entry {position}: no id in {page_url}, skipped")
             continue

@@ -174,7 +174,8 @@ class CrawlSession:
                          ) -> tuple[list[PaperRecord], int]:
         """Fetch the proceedings page plus pagination hops; returns
         (papers, attempts spent on every page).  Each page's parse warnings
-        are logged as they come, prefixed with the conf_id.
+        are logged as they come, prefixed with the conf_id, and so is a
+        paper whose id an earlier page already gave (the first one is kept).
 
         Raises:
             FetchError: a page failed; its ``attempts_used`` includes the
@@ -202,7 +203,11 @@ class CrawlSession:
             for warning in report.warnings:
                 logger.warning("%s: %s", conf.conf_id, warning)
             for p in papers:
-                merged.setdefault(p.anthology_id, p)
+                if p.anthology_id in merged:
+                    logger.warning("%s: duplicate id %s on %s, skipped",
+                                   conf.conf_id, p.anthology_id, url)
+                else:
+                    merged[p.anthology_id] = p
             frontier.extend(u for u in content.next_page_links if u not in visited)
         return list(merged.values()), attempts
 

@@ -6,9 +6,10 @@
   comparison handling, and its own ordering/pagination.  Tests compare
   execute() output against this engine exactly.
 * ``parse_proceedings`` as extraction over an ``htmldoc`` tree: the page is
-  built into a Node tree, then each field is the first match of a ``find``
-  walk.  Tests compare the single-pass ``parser.parse_proceedings`` against
-  it on generated and fixture pages.
+  built into a Node tree from html.parser's own events (never ``scan``'s),
+  then each field is the first match of a ``find`` walk, and every link is
+  resolved by ``urljoin``.  Tests compare the single-pass
+  ``parser.parse_proceedings`` against it on generated and fixture pages.
 """
 from __future__ import annotations
 
@@ -267,7 +268,10 @@ def parse_proceedings(html: str, conference: ConferenceRecord, *,
     Raises:
         StructureError: if the paper-list container is absent.
     """
-    root = htmldoc.parse_html(html)
+    builder = htmldoc._TreeBuilder()
+    builder.feed(html)
+    builder.close()
+    root = builder.root
     container = root.find(cls="paper-list")
     if container is None:
         raise StructureError(f"no paper-list container on {conference.conf_id}")

@@ -125,6 +125,23 @@ class TestParseVenuePage:
                 return
         pytest.fail("no venue page carries an event-desc span")
 
+    def test_desc_belongs_to_the_link_it_follows(self):
+        # Two years' links and one desc in one parent: the desc follows the
+        # 2022 link only.  A desc before any link, or after a second desc,
+        # is no link's.
+        html = wrap(
+            '<section class="venue-page"><div>'
+            '<span class="event-desc">Before any link</span>'
+            '<h4 class="year-heading">2023</h4>'
+            '<a class="proceedings-link" href="/proceedings/x-2023.html">P 2023</a>'
+            '<h4 class="year-heading">2022</h4>'
+            '<a class="proceedings-link" href="/proceedings/x-2022.html">P 2022</a>'
+            ' <span class="event-desc">Hybrid 2022</span>'
+            ' <span class="event-desc">Second desc</span>'
+            "</div></section>")
+        records = parse_venue_page(html, Category.ACL_EVENT, "x")
+        assert [(r.year, r.desc) for r in records] == [(2023, None), (2022, "Hybrid 2022")]
+
 
 class TestParseProceedings:
     def test_titleless_entry_skipped_with_warning(self, corpus, manifest):

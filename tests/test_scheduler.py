@@ -311,7 +311,9 @@ class TestPagination:
         handle.close()
         assert report.papers_stored == 3
         assert [r.getMessage() for r in caplog.records] == [
-            "xx-2020: entry 3: no title, skipped"]
+            "xx-2020: entry 3: no title, skipped",
+            "xx-2020: duplicate id 2020.xx-1.2 on "
+            "https://anthology.test/proceedings/xx-2020-p2.html, skipped"]
 
     @pytest.mark.parametrize("hop_statuses, status, attempts", [
         ([503, 200], CrawlStatus.STORED, 3),  # 1 first page + 2 on the hop
