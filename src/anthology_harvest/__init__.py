@@ -74,7 +74,6 @@ from .scheduler import (
     CrawlReport,
     CrawlSession,
     plan_tasks,
-    progress_snapshot,
     run_crawl,
 )
 from .store import (

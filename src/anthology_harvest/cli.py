@@ -123,6 +123,7 @@ def cmd_harvest(args: argparse.Namespace, cfg: ToolConfig) -> int:
         print("0 tasks matched the venue/year filter; nothing to do")
         return 0
     print(f"tasks: {report.tasks_total}  stored: {report.tasks_succeeded}  "
+          f"unchanged: {report.tasks_unchanged}  "
           f"failed: {report.tasks_failed}  papers: {report.papers_stored}  "
           f"wall_ms: {report.wall_ms}")
     if args.report_json:

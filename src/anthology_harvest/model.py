@@ -43,8 +43,6 @@ class Kind(str, Enum):
 
 class CrawlStatus(str, Enum):
     PENDING = "pending"
-    FETCHING = "fetching"
-    PARSED = "parsed"
     STORED = "stored"
     FAILED = "failed"
 

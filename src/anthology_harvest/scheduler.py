@@ -11,9 +11,18 @@ serialized write path; everything else they touch is immutable.
 All writes for one task go to the store as a single atomic batch, so the
 persisted record set is independent of the worker count.  A permanently
 failing task is recorded as failed and never blocks the others.
+
+Each stored conference keeps a digest of every page it was parsed from.  A
+re-run still fetches every page, but while each page's digest matches the
+stored one it neither parses the pages nor rewrites the papers: the
+conference is unchanged, and only its row is written.  A page digest is
+keyed by the extractor's own source and the Python version, so a changed
+parser re-parses everything once.
 """
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import logging
 import queue
@@ -22,8 +31,9 @@ import threading
 import time
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
+from pathlib import Path
 
-from . import parser, store as store_mod
+from . import htmldoc, model, parser, store as store_mod
 from .errors import EmptyPlan, FetchError, HarvestError, StoreUnavailable
 from .fetcher import FetchPolicy, RateGate, Source, fetch
 from .model import (
@@ -66,12 +76,14 @@ class CrawlReport:
     papers_stored: int
     per_conference: dict[str, CrawlLog]
     wall_ms: int
+    tasks_unchanged: int = 0  # succeeded without a parse: every page digest matched
 
     def to_json(self) -> str:
         return json.dumps({
             "tasks_total": self.tasks_total,
             "tasks_succeeded": self.tasks_succeeded,
             "tasks_failed": self.tasks_failed,
+            "tasks_unchanged": self.tasks_unchanged,
             "papers_stored": self.papers_stored,
             "wall_ms": self.wall_ms,
             "per_conference": {
@@ -120,6 +132,39 @@ def _utc_now_iso() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
+@functools.cache
+def _extractor_key() -> bytes:
+    """A digest of the Python version and the source of the modules that
+    turn a page into records: any change to either invalidates every
+    stored page digest."""
+    key = hashlib.blake2b(sys.version.encode())
+    for module in (parser, htmldoc, model):
+        key.update(Path(module.__file__).read_bytes())
+    return key.digest()
+
+
+def page_digest(url: str, body: bytes, conf: ConferenceRecord | None = None) -> bytes:
+    """The stored digest of one fetched page: its URL and body under the
+    extractor key, plus the venue and year for a conference's first page."""
+    digest = hashlib.blake2b(digest_size=store_mod.PAGE_DIGEST_SIZE, key=_extractor_key())
+    if conf is not None:
+        digest.update(f"{conf.venue_key}/{conf.year}\n".encode())
+    encoded = url.encode()
+    digest.update(b"%d:%s" % (len(encoded), encoded))
+    digest.update(body)
+    return digest.digest()
+
+
+@dataclass
+class _Pages:
+    """What one task has fetched so far: attempts, and the digest of every
+    page and the URL of every pagination hop, in crawl order."""
+
+    attempts: int = 0
+    digests: bytearray = field(default_factory=bytearray)
+    hop_urls: list[str] = field(default_factory=list)
+
+
 class CrawlSession:
     """One crawl run; exposes progress snapshots while it executes."""
 
@@ -135,8 +180,10 @@ class CrawlSession:
         self._succeeded = 0
         self._failed = 0
         self._in_flight = 0
+        self._unchanged = 0
         self._papers_stored = 0
         self._per_conference: dict[str, CrawlLog] = {}
+        self._stored: dict[str, store_mod.StoredPages] = {}
 
     # -- monitoring --------------------------------------------------------
 
@@ -154,7 +201,8 @@ class CrawlSession:
     def _discover(self) -> tuple[list, dict[str, list[ConferenceRecord]]]:
         source = self.config.source
         res = fetch(source.start_url, self.config.policy, source, gate=self._gate)
-        index = parser.parse_index(res.body.decode("utf-8", errors="replace"))
+        index = parser.parse_index(res.body.decode("utf-8", errors="replace"),
+                                   base_url=source.start_url)
         wanted = ({canonical_venue(v) for v in self.config.venues}
                   if self.config.venues else None)
         venue_pages: dict[str, list[ConferenceRecord]] = {}
@@ -164,26 +212,51 @@ class CrawlSession:
                 continue
             page = fetch(url, self.config.policy, source, gate=self._gate)
             records = parser.parse_venue_page(
-                page.body.decode("utf-8", errors="replace"), category, venue_key)
+                page.body.decode("utf-8", errors="replace"), category, venue_key,
+                base_url=url)
             venue_pages[venue_key] = records
         return index, venue_pages
 
     # -- task execution ------------------------------------------------------
 
-    def _fetch_and_parse(self, conf: ConferenceRecord
-                         ) -> tuple[list[PaperRecord], int]:
-        """Fetch the proceedings page plus pagination hops; returns
-        (papers, attempts spent on every page).  Each page's parse warnings
-        are logged as they come, prefixed with the conf_id, and so is a
-        paper whose id an earlier page already gave (the first one is kept).
+    def _fetch_page(self, url: str, conf: ConferenceRecord, pages: _Pages) -> bytes:
+        """Fetch one page of ``conf``, adding its attempts and digest to ``pages``."""
+        try:
+            page = fetch(url, self.config.policy, self.config.source, gate=self._gate)
+        except FetchError as exc:
+            pages.attempts += exc.attempts_used
+            raise
+        pages.attempts += page.attempts_used
+        if pages.digests:
+            pages.hop_urls.append(url)
+        pages.digests += page_digest(url, page.body, None if pages.digests else conf)
+        return page.body
+
+    def _fetch_and_parse(self, conf: ConferenceRecord, pages: _Pages
+                         ) -> list[PaperRecord] | None:
+        """Fetch the proceedings page plus pagination hops into ``pages``;
+        returns the papers, or None when every page matched its stored digest.
+
+        While the digests match, the stored crawl order is followed, which
+        is the order a full crawl of the same pages takes.  From the first
+        page that differs (or with nothing stored), the pages are parsed in
+        order and the pagination links followed; a page already fetched is
+        not fetched again.  Each page's parse warnings are logged as they
+        come, prefixed with the conf_id, and so is a paper whose id an
+        earlier page already gave (the first one is kept).
 
         Raises:
-            FetchError: a page failed; its ``attempts_used`` includes the
-                attempts spent on the pages fetched before it.
+            FetchError: a page failed.
         """
-        source = self.config.source
-        policy = self.config.policy
-        attempts = 0
+        stored = self._stored.get(conf.conf_id)
+        fetched: dict[str, bytes] = {}
+        if stored is not None:
+            for url in (conf.url, *stored.hop_urls):
+                fetched[url] = self._fetch_page(url, conf, pages)
+                if stored.page_digests[:len(pages.digests)] != pages.digests:
+                    break
+            else:
+                return None
         merged: dict[str, PaperRecord] = {}
         visited: set[str] = set()
         frontier = [conf.url]
@@ -192,14 +265,11 @@ class CrawlSession:
             if url in visited:
                 continue
             visited.add(url)
-            try:
-                page = fetch(url, policy, source, gate=self._gate)
-            except FetchError as exc:
-                exc.attempts_used += attempts
-                raise
-            attempts += page.attempts_used
+            body = fetched.pop(url, None)
+            if body is None:
+                body = self._fetch_page(url, conf, pages)
             content, papers, report = parser.parse_proceedings(
-                page.body.decode("utf-8", errors="replace"), conf)
+                body.decode("utf-8", errors="replace"), conf, base_url=url)
             for warning in report.warnings:
                 logger.warning("%s: %s", conf.conf_id, warning)
             for p in papers:
@@ -209,23 +279,24 @@ class CrawlSession:
                 else:
                     merged[p.anthology_id] = p
             frontier.extend(u for u in content.next_page_links if u not in visited)
-        return list(merged.values()), attempts
+        return list(merged.values())
 
     def _run_task(self, conf: ConferenceRecord) -> None:
         started = time.monotonic()
-        attempts = 1
+        pages = _Pages()
         try:
-            papers, attempts = self._fetch_and_parse(conf)
-            log = CrawlLog(status=CrawlStatus.STORED, attempts=attempts,
-                           fetched_at=_utc_now_iso(), paper_count=len(papers))
-            store_mod.upsert_crawl_batch(self.handle, replace(conf, crawl_log=log), papers)
+            papers = self._fetch_and_parse(conf, pages)
+            count = (self._stored[conf.conf_id].paper_count if papers is None
+                     else len(papers))
+            log = CrawlLog(status=CrawlStatus.STORED, attempts=pages.attempts,
+                           fetched_at=_utc_now_iso(), paper_count=count)
+            store_mod.upsert_crawl_batch(self.handle, replace(conf, crawl_log=log),
+                                         papers or [], bytes(pages.digests), pages.hop_urls)
         except Exception as exc:  # failure isolation: record, never propagate
-            if isinstance(exc, FetchError):
-                attempts = exc.attempts_used
             if isinstance(exc, StoreUnavailable):
                 # The store is gone: drain what's left instead of hammering it.
                 self._cancel.set()
-            log = CrawlLog(status=CrawlStatus.FAILED, attempts=max(attempts, 1),
+            log = CrawlLog(status=CrawlStatus.FAILED, attempts=max(pages.attempts, 1),
                            last_error=f"{type(exc).__name__}: {exc}")
             try:
                 store_mod.upsert_conference(self.handle, replace(conf, crawl_log=log))
@@ -233,15 +304,17 @@ class CrawlSession:
                 pass
             self._finish(conf, log, started)
             return
-        self._finish(conf, log, started)
+        self._finish(conf, log, started, unchanged=papers is None)
 
-    def _finish(self, conf: ConferenceRecord, log: CrawlLog, started: float) -> None:
+    def _finish(self, conf: ConferenceRecord, log: CrawlLog, started: float,
+                unchanged: bool = False) -> None:
         elapsed_ms = int((time.monotonic() - started) * 1000)
         with self._lock:
             self._in_flight -= 1
             self._per_conference[conf.conf_id] = log
             if log.status is CrawlStatus.STORED:
                 self._succeeded += 1
+                self._unchanged += unchanged
                 self._papers_stored += log.paper_count or 0
             else:
                 self._failed += 1
@@ -271,7 +344,7 @@ class CrawlSession:
             StoreUnavailable: the store cannot accept writes at all.
             EmptyPlan: nothing matched the venue/year filter.
         """
-        self.handle.execute_scalar("SELECT COUNT(*) FROM conference")  # probe
+        self._stored = store_mod.load_stored_pages(self.handle)  # probes the store too
         index, venue_pages = self._discover()
         plan = plan_tasks(self.config, index, venue_pages)
         with self._lock:
@@ -300,6 +373,7 @@ class CrawlSession:
                 papers_stored=self._papers_stored,
                 per_conference=dict(self._per_conference),
                 wall_ms=int((time.monotonic() - t0) * 1000),
+                tasks_unchanged=self._unchanged,
             )
 
     def run(self) -> CrawlReport:
@@ -324,7 +398,3 @@ def run_crawl(config: CrawlConfig, store_handle: store_mod.Store) -> CrawlReport
     """
     return CrawlSession(config, store_handle).run()
 
-
-def progress_snapshot(run_handle: CrawlSession) -> tuple[int, int, int]:
-    """(done, total, failed) for an active or finished run; monotone."""
-    return run_handle.snapshot()

@@ -12,9 +12,15 @@ the display names and ``authors_normalized`` the matching forms, in the same
 order -- two tables only, no join table.  Rows are hydrated from both arrays
 without re-normalizing.  Timestamps are UTC ISO-8601 strings.
 
+Each conference row also keeps what its papers were parsed from:
+``page_digests``, the 16-byte digests of its pages concatenated in crawl
+order, and ``hop_urls``, a JSON array of its pagination-hop URLs (NULL when
+it has none).  A failed crawl leaves ``page_digests`` NULL.
+
 The schema version lives in ``PRAGMA user_version``.  Version 0 stored the
-normalized names joined by ``" | "``; ``init_schema`` migrates such a store
-to version 1 in one transaction and writes nothing to an up-to-date one.
+normalized names joined by ``" | "``; version 1 had no page digests.
+``init_schema`` migrates an older store to version 2 in one transaction and
+writes nothing to an up-to-date one.
 
 ``filter_stored`` and ``stats_stored`` evaluate filter rules and stats
 dimensions inside SQLite, with the same meaning as ``paperlist.filter_papers``
@@ -29,7 +35,7 @@ import sqlite3
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DuplicateInBatch, StoreUnavailable
 from .model import (
@@ -44,7 +50,8 @@ from .model import (
 )
 from .paperlist import FilterRule, PaperList, check_dims, check_rules
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+PAGE_DIGEST_SIZE = 16  # bytes of one page's digest in conference.page_digests
 
 DDL_CONFERENCE = """\
 CREATE TABLE IF NOT EXISTS conference (
@@ -60,8 +67,12 @@ CREATE TABLE IF NOT EXISTS conference (
   attempts INTEGER NOT NULL,
   last_error TEXT,
   fetched_at TEXT,
-  paper_count INTEGER
+  paper_count INTEGER,
+  page_digests BLOB,
+  hop_urls TEXT
 )"""
+# Columns version 2 added to the conference table.
+_V2_COLUMNS = (("page_digests", "BLOB"), ("hop_urls", "TEXT"))
 
 DDL_PAPER = """\
 CREATE TABLE IF NOT EXISTS paper (
@@ -269,13 +280,19 @@ def _upgrade(conn: sqlite3.Connection) -> None:
         if version < SCHEMA_VERSION:
             conn.execute(DDL_CONFERENCE)
             conn.execute(DDL_PAPER)
-            # Version 0 joined normalized names with " | "; re-derive them
-            # from the display names rather than split that ambiguous string.
-            rows = conn.execute("SELECT anthology_id, authors FROM paper").fetchall()
-            conn.executemany(
-                "UPDATE paper SET authors_normalized = ? WHERE anthology_id = ?",
-                [(_json_list(normalize_author(a).normalized for a in json.loads(authors)), aid)
-                 for aid, authors in rows])
+            if version < 1:
+                # Version 0 joined normalized names with " | "; re-derive them
+                # from the display names rather than split that ambiguous string.
+                rows = conn.execute("SELECT anthology_id, authors FROM paper").fetchall()
+                conn.executemany(
+                    "UPDATE paper SET authors_normalized = ? WHERE anthology_id = ?",
+                    [(_json_list(normalize_author(a).normalized
+                                 for a in json.loads(authors)), aid)
+                     for aid, authors in rows])
+            have = {row[1] for row in conn.execute("PRAGMA table_info(conference)")}
+            for column, decl in _V2_COLUMNS:
+                if column not in have:  # an older table; a new one has them
+                    conn.execute(f"ALTER TABLE conference ADD COLUMN {column} {decl}")
             conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
         conn.execute("COMMIT")
     except BaseException:
@@ -288,12 +305,15 @@ def _json_list(values: Iterable[str]) -> str:
     return json.dumps(list(values), ensure_ascii=False)
 
 
-def _conference_row(rec: ConferenceRecord) -> tuple:
+def _conference_row(rec: ConferenceRecord, page_digests: bytes | None = None,
+                    hop_urls: Sequence[str] = ()) -> tuple:
     log = rec.crawl_log
     return (
         rec.conf_id, rec.venue_key, rec.year, rec.title, rec.desc, rec.url,
         rec.category.value, rec.kind.value, log.status.value, log.attempts,
-        log.last_error, log.fetched_at, log.paper_count,
+        log.last_error, log.fetched_at, log.paper_count, page_digests,
+        json.dumps(list(hop_urls), ensure_ascii=False, separators=(",", ":"))
+        if hop_urls else None,
     )
 
 
@@ -314,8 +334,8 @@ def _paper_row(rec: PaperRecord) -> tuple:
 
 _CONFERENCE_UPSERT = (
     'INSERT OR REPLACE INTO conference (conf_id, venue_key, year, title, "desc", url, '
-    "category, kind, status, attempts, last_error, fetched_at, paper_count) "
-    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
+    "category, kind, status, attempts, last_error, fetched_at, paper_count, "
+    "page_digests, hop_urls) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
 )
 _PAPER_UPSERT = (
     "INSERT OR REPLACE INTO paper (anthology_id, title, authors, authors_normalized, "
@@ -325,26 +345,36 @@ _PAPER_UPSERT = (
 
 
 def upsert_conference(h: Store, rec: ConferenceRecord) -> str:
-    """Insert or replace the row keyed by conf_id; returns 'inserted'/'updated'."""
+    """Insert or replace the row keyed by conf_id, with no page digests;
+    returns 'inserted'/'updated'."""
     existing = h.execute_scalar("SELECT COUNT(*) FROM conference WHERE conf_id = ?",
                                 (rec.conf_id,))
     h._write_batch([(_CONFERENCE_UPSERT, _conference_row(rec))])
     return "updated" if existing else "inserted"
 
 
-def _check_batch_ids(recs: Sequence[PaperRecord]) -> None:
-    ids = [r.anthology_id for r in recs]
+def _write_papers(h: Store, papers: Iterable[PaperRecord],
+                  head: Sequence[tuple[str, Sequence]] = ()) -> tuple[int, int]:
+    """Write ``head`` and the papers in one transaction; returns (inserted,
+    updated) papers, counted under the write lock.
+
+    Raises:
+        DuplicateInBatch: two records share an anthology_id; nothing written.
+    """
+    papers = list(papers)
+    ids = [p.anthology_id for p in papers]
     if len(ids) != len(set(ids)):
         dupes = sorted({i for i in ids if ids.count(i) > 1})
         raise DuplicateInBatch(f"duplicate anthology_id in batch: {dupes}")
-
-
-def _count_existing(h: Store, ids: Sequence[str]) -> int:
-    if not ids:
-        return 0
-    placeholders = ", ".join("?" for _ in ids)
-    return h.execute_scalar(
-        f"SELECT COUNT(*) FROM paper WHERE anthology_id IN ({placeholders})", ids)
+    statements = [*head, *((_PAPER_UPSERT, _paper_row(p)) for p in papers)]
+    with h._lock:
+        existing = 0
+        if ids:
+            placeholders = ", ".join("?" for _ in ids)
+            existing = h.execute_scalar(
+                f"SELECT COUNT(*) FROM paper WHERE anthology_id IN ({placeholders})", ids)
+        h._write_batch(statements)
+    return len(papers) - existing, existing
 
 
 def upsert_papers(h: Store, recs: Sequence[PaperRecord]) -> tuple[int, int]:
@@ -355,24 +385,38 @@ def upsert_papers(h: Store, recs: Sequence[PaperRecord]) -> tuple[int, int]:
     Raises:
         DuplicateInBatch: two records share an anthology_id; nothing written.
     """
-    recs = list(recs)
-    _check_batch_ids(recs)
-    existing = _count_existing(h, [r.anthology_id for r in recs])
-    h._write_batch((_PAPER_UPSERT, _paper_row(r)) for r in recs)
-    return len(recs) - existing, existing
+    return _write_papers(h, recs)
 
 
 def upsert_crawl_batch(h: Store, conference: ConferenceRecord,
-                       papers: Sequence[PaperRecord]) -> tuple[int, int]:
-    """One crawl task's writes -- conference row plus its papers -- in a
-    single atomic transaction."""
-    papers = list(papers)
-    _check_batch_ids(papers)
-    existing = _count_existing(h, [p.anthology_id for p in papers])
-    statements = [(_CONFERENCE_UPSERT, _conference_row(conference))]
-    statements += [(_PAPER_UPSERT, _paper_row(p)) for p in papers]
-    h._write_batch(statements)
-    return len(papers) - existing, existing
+                       papers: Sequence[PaperRecord], page_digests: bytes | None = None,
+                       hop_urls: Sequence[str] = ()) -> tuple[int, int]:
+    """One crawl task's writes -- conference row, with the digests of the
+    pages it was parsed from, plus its papers -- in a single atomic
+    transaction; returns (inserted, updated) papers."""
+    row = _conference_row(conference, page_digests, hop_urls)
+    return _write_papers(h, papers, [(_CONFERENCE_UPSERT, row)])
+
+
+class StoredPages(NamedTuple):
+    """What a conference was last parsed from."""
+
+    page_digests: bytes  # PAGE_DIGEST_SIZE bytes per page, in crawl order
+    hop_urls: tuple[str, ...]
+    paper_count: int
+
+
+def load_stored_pages(h: Store) -> dict[str, StoredPages]:
+    """conf_id -> StoredPages for every conference stored with page digests
+    that match its hop count; one SELECT."""
+    rows = h.execute_sql("SELECT conf_id, page_digests, hop_urls, paper_count "
+                         "FROM conference WHERE page_digests IS NOT NULL")
+    out = {}
+    for row in rows:
+        hops = tuple(json.loads(row["hop_urls"])) if row["hop_urls"] else ()
+        if len(row["page_digests"]) == PAGE_DIGEST_SIZE * (1 + len(hops)):
+            out[row["conf_id"]] = StoredPages(row["page_digests"], hops, row["paper_count"])
+    return out
 
 
 def paper_from_row(row: Mapping) -> PaperRecord:

@@ -1,5 +1,7 @@
 import json
 import random
+import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -37,6 +39,17 @@ _AUTHOR_POOL = (
 def fixtures_root() -> Path:
     assert FIXTURES.is_dir(), "run tools/make_fixtures.py first"
     return FIXTURES
+
+
+def copy_without_base(root: Path, dest: Path, *pages: str) -> Path:
+    """Copy the corpus at ``root`` to ``dest``, removing ``<base>`` from ``pages``."""
+    shutil.copytree(root, dest)
+    for page in pages:
+        path = dest / page
+        html, removed = re.subn(r"<base [^>]*>", "", path.read_text(encoding="utf-8"))
+        assert removed == 1, page
+        path.write_text(html, encoding="utf-8")
+    return dest
 
 
 @pytest.fixture(scope="session")

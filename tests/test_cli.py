@@ -5,7 +5,7 @@ import json
 import pytest
 
 from anthology_harvest.cli import main
-from conftest import FIXTURES
+from conftest import FIXTURES, copy_without_base
 
 
 @pytest.fixture
@@ -34,6 +34,14 @@ class TestHarvest:
                        and p["path"] >= "proceedings/acl-2021")
         assert f"papers: {expected}" in out
         assert (db_env / "aclanthology.db").exists()
+
+    def test_venue_page_without_base(self, db_env, tmp_path, capsys):
+        site = copy_without_base(FIXTURES, tmp_path / "site", "venues/acl.html")
+        code = main(["harvest", "--venues", "acl", "--source", f"fixture:{site}",
+                     "--report-json", "-"])
+        report = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+        assert code == 0
+        assert report["tasks_total"] == 5 and report["tasks_failed"] == 0
 
     def test_empty_plan_notice(self, db_env, capsys):
         code = main(["harvest", "--years", "1960..1961",

@@ -138,4 +138,4 @@ class TestCrawlLog:
 
     def test_non_pending_needs_attempts(self):
         with pytest.raises(ValueError):
-            CrawlLog(status=CrawlStatus.FETCHING, attempts=0)
+            CrawlLog(status=CrawlStatus.STORED, attempts=0, paper_count=0)

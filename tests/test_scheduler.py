@@ -20,12 +20,11 @@ from anthology_harvest import (
     parse_conf_id,
     parse_proceedings,
     plan_tasks,
-    progress_snapshot,
     run_crawl,
 )
 from anthology_harvest.mockserver import ScriptedCorpusServer
 from anthology_harvest.scheduler import CrawlSession
-from conftest import make_conference
+from conftest import copy_without_base, make_conference
 
 FAST_POLICY = FetchPolicy(max_attempts=3, base_backoff_ms=1, timeout_ms=3000,
                           min_interval_ms=0)
@@ -155,6 +154,18 @@ class TestFixtureCrawl:
         assert report.papers_stored == sum(r.crawl_log.paper_count for r in rows)
         handle.close()
 
+    def test_page_without_base_resolves_against_its_url(self, fixtures_root, tmp_path):
+        site = copy_without_base(fixtures_root, tmp_path / "site",
+                                 "proceedings/acl-2021.html")
+        handle, report = crawl_fixture(site, venues=("acl",), years=(2021, 2021))
+        expected_handle, expected = crawl_fixture(fixtures_root, venues=("acl",),
+                                                  years=(2021, 2021))
+        assert report.tasks_failed == 0
+        assert report.papers_stored == expected.papers_stored > 0
+        assert list(load_all_papers(handle)) == list(load_all_papers(expected_handle))
+        handle.close()
+        expected_handle.close()
+
     def test_rerun_is_idempotent(self, fixtures_root):
         handle = init_schema(StoreConfig(location=":memory:"))
         config = fixture_config(fixtures_root)
@@ -183,7 +194,7 @@ class TestMockCrawl:
 
             assert report.tasks_total == 25
             assert report.tasks_failed == 1
-            assert progress_snapshot(session) == (24, 25, 1)
+            assert session.snapshot() == (24, 25, 1)
             failed = report.per_conference["emnlp-2022"]
             assert failed.status is CrawlStatus.FAILED
             assert failed.attempts == 3
@@ -211,14 +222,14 @@ class TestMockCrawl:
             handle = init_schema(StoreConfig(location=":memory:"))
             session = CrawlSession(config, handle)
             total = session.prepare()
-            assert progress_snapshot(session) == (0, total, 0)
+            assert session.snapshot() == (0, total, 0)
 
             seen = []
             stop = threading.Event()
 
             def monitor():
                 while not stop.is_set():
-                    seen.append(progress_snapshot(session))
+                    seen.append(session.snapshot())
                     time.sleep(0.002)
 
             t = threading.Thread(target=monitor)
@@ -227,7 +238,7 @@ class TestMockCrawl:
             stop.set()
             t.join()
 
-            assert progress_snapshot(session) == (total, total, 0)
+            assert session.snapshot() == (total, total, 0)
             assert report.tasks_total == total
             for (d1, t1, f1), (d2, t2, f2) in zip(seen, seen[1:]):
                 assert d2 >= d1 and f2 >= f1 and t1 == t2 == total
@@ -314,6 +325,19 @@ class TestPagination:
             "xx-2020: entry 3: no title, skipped",
             "xx-2020: duplicate id 2020.xx-1.2 on "
             "https://anthology.test/proceedings/xx-2020-p2.html, skipped"]
+
+    def test_hop_that_fails_to_parse_counts_every_page(self, tmp_path):
+        write_paginated_site(tmp_path)
+        (tmp_path / "proceedings" / "xx-2020-p2.html").write_text("<html></html>")
+        handle = init_schema(StoreConfig(location=":memory:"))
+        config = CrawlConfig(venues=(), year_range=(2019, 2023), workers=1,
+                             policy=FAST_POLICY, source=FixtureSource(root=tmp_path))
+        report = run_crawl(config, handle)
+        handle.close()
+        log = report.per_conference["xx-2020"]
+        assert log.status is CrawlStatus.FAILED
+        assert log.last_error.startswith("StructureError")
+        assert log.attempts == 2  # the first page and the hop
 
     @pytest.mark.parametrize("hop_statuses, status, attempts", [
         ([503, 200], CrawlStatus.STORED, 3),  # 1 first page + 2 on the hop

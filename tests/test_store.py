@@ -49,12 +49,12 @@ class TestInitSchema:
             load_all_papers(mem_store)
 
     def test_fresh_store_is_at_current_version(self, mem_store):
-        assert mem_store.execute_scalar("PRAGMA user_version") == store_mod.SCHEMA_VERSION == 1
+        assert mem_store.execute_scalar("PRAGMA user_version") == store_mod.SCHEMA_VERSION == 2
 
     def test_newer_schema_is_refused(self, tmp_path):
         path = tmp_path / "future.db"
         conn = sqlite3.connect(path)
-        conn.execute("PRAGMA user_version = 2")
+        conn.execute("PRAGMA user_version = 3")
         conn.close()
         with pytest.raises(StoreUnavailable):
             init_schema(StoreConfig(location=str(path)))
@@ -91,7 +91,7 @@ class TestMigration:
         conn.close()
 
         with init_schema(StoreConfig(location=str(path))) as h:
-            assert h.execute_scalar("PRAGMA user_version") == 1
+            assert h.execute_scalar("PRAGMA user_version") == 2
             stored = h.execute_tuples(
                 "SELECT authors_normalized FROM paper ORDER BY anthology_id")
             assert [json.loads(r[0]) for r in stored] == [
