@@ -20,6 +20,9 @@ YEAR_MIN = 1950
 YEAR_MAX = 2100
 
 _WS_RE = re.compile(r"\s+")
+# The C0 control characters that are not whitespace.  SQLite's json_each
+# cuts a decoded string at U+0000, so no stored normalized name may hold one.
+_C0_RE = re.compile(r"[\x00-\x08\x0e-\x1b]")
 _NON_TOKEN_RE = re.compile(r"[^a-z0-9]+")
 
 
@@ -84,12 +87,15 @@ def normalize_author(full: str) -> AuthorName:
     """Build an AuthorName from the display form.
 
     ``normalized`` is a pure function of ``full``:
-    casefold(strip_diacritics(collapse_whitespace(trim(full)))).
+    casefold(strip_diacritics(collapse_whitespace(trim(drop_controls(full))))),
+    where drop_controls removes the C0 controls that are not whitespace
+    (U+0000-U+0008, U+000E-U+001B); the display form is
+    collapse_whitespace(trim(drop_controls(full))).
 
     Raises:
-        EmptyInput: if ``full`` is empty after trimming.
+        EmptyInput: if ``full`` is empty after dropping controls and trimming.
     """
-    trimmed = full.strip() if full else ""
+    trimmed = _C0_RE.sub("", full).strip() if full else ""
     if not trimmed:
         raise EmptyInput("author name is empty")
     collapsed = _WS_RE.sub(" ", trimmed)

@@ -10,7 +10,9 @@ serialized write path; everything else they touch is immutable.
 
 All writes for one task go to the store as a single atomic batch, so the
 persisted record set is independent of the worker count.  A permanently
-failing task is recorded as failed and never blocks the others.
+failing task is recorded as failed and never blocks the others.  After the
+workers finish, the store's log is checkpointed into its file; a checkpoint
+that a reader blocks is logged, and the crawl's writes stay in the log.
 
 Each stored conference keeps a digest of every page it was parsed from.  A
 re-run still fetches every page, but while each page's digest matches the
@@ -355,7 +357,8 @@ class CrawlSession:
         return len(plan)
 
     def execute(self) -> CrawlReport:
-        """Run the prepared tasks to completion on the worker pool."""
+        """Run the prepared tasks to completion on the worker pool, then
+        checkpoint the store, so that its file alone holds the crawl."""
         if not self._prepared:
             raise RuntimeError("call prepare() before execute()")
         t0 = time.monotonic()
@@ -365,6 +368,10 @@ class CrawlSession:
             t.start()
         for t in threads:
             t.join()
+        try:
+            self.handle.checkpoint()
+        except StoreUnavailable as exc:
+            logger.warning("%s; the crawl's writes stay in the store's log", exc)
         with self._lock:
             return CrawlReport(
                 tasks_total=self._total,

@@ -4,8 +4,15 @@ The store is defined against plain standard SQL so another relational
 backend can sit behind the same interface; the embedded SQLite
 implementation keeps tests hermetic.  All mutations go through one
 serialized write path (a lock around a single connection), which is the
-synchronization contract the crawler relies on; readers see consistent
-snapshots.
+synchronization contract the crawler relies on.
+
+A file store runs in SQLite's write-ahead-log mode: a commit appends to
+``<name>.db-wal`` and syncs it once (``synchronous`` stays ``FULL``), and
+readers on other connections, in this process or another, see consistent
+snapshots without blocking the writer or being blocked by it.
+``Store.checkpoint`` copies the log into the ``.db`` file and empties it;
+a crawl ends with one, so between runs the ``.db`` file alone holds the
+store.
 
 Authors are stored as two JSON arrays of equal length: ``authors`` holds
 the display names and ``authors_normalized`` the matching forms, in the same
@@ -179,6 +186,24 @@ class Store:
     def __exit__(self, *exc) -> None:
         self.close()
 
+    def checkpoint(self) -> None:
+        """Copy every page of the write-ahead log into the database file and
+        empty the log; on ``:memory:`` this does nothing.
+
+        Raises:
+            StoreUnavailable: the checkpoint failed, or a reader holding an
+                older snapshot kept it from finishing.  The log's pages are
+                durable either way.
+        """
+        with self._lock:
+            self._check_open()
+            try:
+                busy = self._conn.execute("PRAGMA wal_checkpoint(TRUNCATE)").fetchone()[0]
+            except sqlite3.Error as exc:
+                raise StoreUnavailable(f"checkpoint failed: {exc}") from exc
+        if busy:
+            raise StoreUnavailable(f"checkpoint of {self.path} blocked by a reader")
+
     def _check_open(self) -> None:
         if self._closed:
             raise StoreUnavailable(f"store at {self.path} is closed")
@@ -237,11 +262,13 @@ def init_schema(cfg: StoreConfig) -> Store:
     """Open (creating if needed) the database at the current schema version.
 
     Idempotent: a second call on the same location is a no-op that
-    preserves data.  A version-0 store is migrated in one transaction.
+    preserves data.  An older store is migrated in one transaction, and a
+    store in rollback-journal mode is switched to write-ahead-log mode.
 
     Raises:
-        StoreUnavailable: if the location cannot be opened, or holds a
-            schema newer than this version of the package.
+        StoreUnavailable: if the location cannot be opened or cannot hold
+            the write-ahead log, or holds a schema newer than this version
+            of the package.
     """
     path = cfg.database_path()
     try:
@@ -255,10 +282,11 @@ def init_schema(cfg: StoreConfig) -> Store:
     conn.create_function("py_strip", 1, _strip, deterministic=True)
     try:
         _upgrade(conn)
+        conn.execute("PRAGMA journal_mode=WAL")  # ":memory:" stays "memory"
     except BaseException as exc:
         conn.close()
         if isinstance(exc, sqlite3.Error):
-            raise StoreUnavailable(f"cannot create schema at {path}: {exc}") from exc
+            raise StoreUnavailable(f"cannot set up the store at {path}: {exc}") from exc
         raise
     return Store(conn, path)
 
@@ -346,10 +374,11 @@ _PAPER_UPSERT = (
 
 def upsert_conference(h: Store, rec: ConferenceRecord) -> str:
     """Insert or replace the row keyed by conf_id, with no page digests;
-    returns 'inserted'/'updated'."""
-    existing = h.execute_scalar("SELECT COUNT(*) FROM conference WHERE conf_id = ?",
-                                (rec.conf_id,))
-    h._write_batch([(_CONFERENCE_UPSERT, _conference_row(rec))])
+    returns 'inserted'/'updated', counted under the write lock."""
+    with h._lock:
+        existing = h.execute_scalar("SELECT COUNT(*) FROM conference WHERE conf_id = ?",
+                                    (rec.conf_id,))
+        h._write_batch([(_CONFERENCE_UPSERT, _conference_row(rec))])
     return "updated" if existing else "inserted"
 
 

@@ -20,6 +20,11 @@ from anthology_harvest.model import _WS_RE, _strip_diacritics
 from conftest import make_conference, make_paper
 
 
+def drop_controls(raw: str) -> str:
+    """The documented drop_controls step: C0 controls that are not whitespace go."""
+    return "".join(ch for ch in raw if ch >= " " or ch.isspace())
+
+
 class TestCanonicalVenue:
     def test_casefold(self):
         assert canonical_venue("ACL") == "acl"
@@ -62,12 +67,19 @@ class TestNormalizeAuthor:
     def test_single_char(self):
         assert normalize_author("X").normalized == "x"
 
+    def test_controls_are_dropped(self):
+        # SQLite's json_each would cut a stored normalized name at U+0000.
+        assert normalize_author("Ann\x00Bo\x1b") == AuthorName(full="AnnBo", normalized="annbo")
+        assert normalize_author("Ann\x1f\x01Bo").normalized == "ann bo"
+        with pytest.raises(EmptyInput):
+            normalize_author(" \x00\x08 ")
+
     def test_empty_raises(self):
         with pytest.raises(EmptyInput):
             normalize_author("  \t ")
 
     @settings(max_examples=100)
-    @given(st.text(min_size=1).filter(lambda s: s.strip()))
+    @given(st.text(min_size=1).filter(lambda s: drop_controls(s).strip()))
     def test_normalized_shape(self, raw):
         name = normalize_author(raw)
         assert name.normalized == name.normalized.strip()
@@ -79,7 +91,7 @@ class TestNormalizeAuthor:
     @given(st.one_of(st.text(st.characters(max_codepoint=127)), st.text()))
     def test_ascii_fast_path_equals_full_pipeline(self, raw):
         # The documented pipeline, applied in full to every input.
-        collapsed = _WS_RE.sub(" ", raw.strip())
+        collapsed = _WS_RE.sub(" ", drop_controls(raw).strip())
         if not collapsed:
             with pytest.raises(EmptyInput):
                 normalize_author(raw)

@@ -1,25 +1,47 @@
 import hashlib
 import json
+import logging
 import random
 import sqlite3
+import threading
+import time
+from collections import Counter
 
 import pytest
 
 from anthology_harvest import (
+    CrawlConfig,
     CrawlLog,
     CrawlStatus,
     DuplicateInBatch,
+    FetchPolicy,
+    FixtureSource,
     StoreConfig,
     StoreUnavailable,
     init_schema,
     load_all_conferences,
     load_all_papers,
+    run_crawl,
     upsert_conference,
     upsert_crawl_batch,
     upsert_papers,
 )
 from anthology_harvest import store as store_mod
 from conftest import make_conference, make_paper, random_papers
+
+FAST_POLICY = FetchPolicy(max_attempts=2, base_backoff_ms=0, timeout_ms=3000,
+                          min_interval_ms=0)
+
+
+def crawl_fixtures(fixtures_root, handle):
+    return run_crawl(CrawlConfig(workers=4, policy=FAST_POLICY,
+                                 source=FixtureSource(root=fixtures_root)), handle)
+
+
+def table_rows(execute) -> dict[str, list[tuple]]:
+    """Every row of both tables, through ``execute(sql)``, in key order."""
+    return {table: [tuple(row) for row in execute(f"SELECT * FROM {table} ORDER BY 1")]
+            for table in ("conference", "paper")}
 
 
 class TestInitSchema:
@@ -112,6 +134,174 @@ class TestMigration:
             store_mod.paper_from_row(row)
 
 
+class _NoWal:
+    """Connection proxy on which switching to write-ahead-log mode fails, as
+    on a location that cannot hold the log."""
+
+    def __init__(self, conn):
+        object.__setattr__(self, "_conn", conn)
+
+    def execute(self, sql, params=()):
+        if sql.startswith("PRAGMA journal_mode"):
+            raise sqlite3.OperationalError("unable to open database file")
+        return self._conn.execute(sql, params)
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+    def __setattr__(self, name, value):
+        setattr(self._conn, name, value)
+
+
+class TestStoreFile:
+    """Between runs the store is one .db file; the log lives beside it only
+    while a handle is open."""
+
+    def test_db_file_alone_holds_the_crawl(self, fixtures_root, tmp_path):
+        with init_schema(StoreConfig(location=str(tmp_path))) as h:
+            report = crawl_fixtures(fixtures_root, h)
+            copy = tmp_path / "copy" / "aclanthology.db"
+            copy.parent.mkdir()
+            copy.write_bytes((tmp_path / "aclanthology.db").read_bytes())
+            want = table_rows(h.execute_tuples)
+        assert report.tasks_failed == 0
+        assert len(want["paper"]) == report.papers_stored > 0
+        assert sorted(p.name for p in copy.parent.iterdir()) == ["aclanthology.db"]
+        conn = sqlite3.connect(copy)
+        try:
+            assert table_rows(conn.execute) == want
+        finally:
+            conn.close()
+
+    def test_close_leaves_only_the_db_file(self, fixtures_root, tmp_path):
+        h = init_schema(StoreConfig(location=str(tmp_path)))
+        crawl_fixtures(fixtures_root, h)
+        assert h.execute_scalar("PRAGMA journal_mode") == "wal"
+        assert (tmp_path / "aclanthology.db-wal").exists()
+        h.close()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["aclanthology.db"]
+
+    def test_memory_store_checkpoints_as_a_no_op(self, mem_store):
+        assert mem_store.execute_scalar("PRAGMA journal_mode") == "memory"
+        upsert_papers(mem_store, [make_paper()])
+        mem_store.checkpoint()
+        assert load_all_papers(mem_store).ids() == ("2022.acl-long.1",)
+
+    def test_rollback_journal_store_switches_to_wal_once(self, tmp_path):
+        path = tmp_path / "v2.db"
+        cfg = StoreConfig(location=str(path))
+        papers = [make_paper(aid=f"2022.acl-long.{i}") for i in range(3)]
+        with init_schema(cfg) as h:
+            upsert_crawl_batch(h, make_conference(), papers)
+            conferences = load_all_conferences(h)
+        # A version-2 store as a rollback-journal release of the package left it.
+        conn = sqlite3.connect(path)
+        assert conn.execute("PRAGMA journal_mode=DELETE").fetchone() == ("delete",)
+        conn.close()
+
+        with init_schema(cfg) as h:
+            assert h.execute_scalar("PRAGMA journal_mode") == "wal"
+            assert h.execute_scalar("PRAGMA user_version") == 2
+            assert list(load_all_papers(h)) == papers
+            assert load_all_conferences(h) == conferences
+        switched = _digest(path)
+
+        with init_schema(cfg) as h:
+            assert list(load_all_papers(h)) == papers
+        assert _digest(path) == switched
+
+    def test_location_that_cannot_hold_the_log_is_unavailable(self, tmp_path, monkeypatch):
+        real_connect = sqlite3.connect
+        opened = []
+
+        def connect(*args, **kwargs):
+            opened.append(real_connect(*args, **kwargs))
+            return _NoWal(opened[-1])
+
+        monkeypatch.setattr(store_mod.sqlite3, "connect", connect)
+        with pytest.raises(StoreUnavailable):
+            init_schema(StoreConfig(location=str(tmp_path)))
+        assert len(opened) == 1
+        with pytest.raises(sqlite3.ProgrammingError):  # closed, not leaked
+            opened[0].execute("SELECT 1")
+
+    def test_blocked_checkpoint_keeps_the_report(self, fixtures_root, tmp_path, caplog):
+        want = crawl_fixtures(fixtures_root, init_schema(StoreConfig(location=":memory:")))
+        h = init_schema(StoreConfig(location=str(tmp_path)))
+        h.execute_scalar("PRAGMA busy_timeout = 50")
+        # A reader whose snapshot predates the crawl keeps the checkpoint
+        # from copying any of the crawl's pages into the file.
+        reader = sqlite3.connect(tmp_path / "aclanthology.db", isolation_level=None)
+        reader.execute("BEGIN")
+        assert reader.execute("SELECT COUNT(*) FROM paper").fetchone() == (0,)
+        with caplog.at_level(logging.WARNING, logger="anthology_harvest.scheduler"):
+            report = crawl_fixtures(fixtures_root, h)
+        assert any("blocked by a reader" in r.getMessage() for r in caplog.records)
+
+        def outcomes(r):
+            return {cid: (log.status, log.attempts, log.paper_count)
+                    for cid, log in r.per_conference.items()}
+
+        assert (report.tasks_total, report.tasks_succeeded, report.tasks_failed,
+                report.papers_stored) == (want.tasks_total, want.tasks_succeeded,
+                                          want.tasks_failed, want.papers_stored)
+        assert outcomes(report) == outcomes(want)
+        assert h.execute_scalar("SELECT COUNT(*) FROM paper") == report.papers_stored
+        assert reader.execute("SELECT COUNT(*) FROM paper").fetchone() == (0,)
+        reader.execute("COMMIT")
+        reader.close()
+        h.close()
+        # The log held the crawl; the last close checkpointed it into the file.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["aclanthology.db"]
+        conn = sqlite3.connect(tmp_path / "aclanthology.db")
+        try:
+            assert conn.execute("SELECT COUNT(*) FROM paper").fetchone() == (
+                report.papers_stored,)
+        finally:
+            conn.close()
+
+
+def test_readers_and_the_crawl_do_not_block_each_other(fixtures_root, tmp_path,
+                                                       monkeypatch):
+    cfg = StoreConfig(location=str(tmp_path))
+    writer, reader = init_schema(cfg), init_schema(cfg)
+    reads, errors = [], []
+    real_batch = store_mod.upsert_crawl_batch
+
+    def commit_then_read(h, *args, **kwargs):
+        result = real_batch(h, *args, **kwargs)
+        try:
+            papers = Counter((p.venue_key, p.year) for p in load_all_papers(reader))
+            tree = store_mod.stats_stored(reader, ["venue_key", "year"])
+            grouped = Counter({(venue, year): n for venue, years in tree.items()
+                               for year, n in years.items()})
+            reads.append((papers, grouped, reader._conn.in_transaction,
+                          writer._conn.in_transaction))
+        except Exception as exc:  # recorded here: the crawl would swallow it
+            errors.append(exc)
+        return result
+
+    monkeypatch.setattr(store_mod, "upsert_crawl_batch", commit_then_read)
+    try:
+        report = crawl_fixtures(fixtures_root, writer)
+        final = {(c.venue_key, c.year): c.crawl_log.paper_count
+                 for c in load_all_conferences(writer)}
+    finally:
+        reader.close()
+        writer.close()
+    assert errors == []
+    assert report.tasks_failed == 0
+    assert len(reads) == report.tasks_total == 25
+    for papers, grouped, reader_in_tx, writer_in_tx in reads:
+        # Each read sees a conference with all of its papers or none of them.
+        assert all(final[key] == n for key, n in papers.items())
+        assert all(final[key] == n for key, n in grouped.items())
+        assert not reader_in_tx and not writer_in_tx
+    # The read after the last commit sees every conference.
+    everything = Counter({key: n for key, n in final.items() if n})
+    assert any(papers == grouped == everything for papers, grouped, *_ in reads)
+
+
 class TestUpsertConference:
     def test_insert_then_update(self, mem_store):
         rec = make_conference(desc="first")
@@ -127,6 +317,29 @@ class TestUpsertConference:
         upsert_conference(mem_store, rec)
         assert upsert_conference(mem_store, rec) == "updated"
         assert load_all_conferences(mem_store) == [rec]
+
+    def test_concurrent_first_writes_insert_once(self, mem_store, monkeypatch):
+        real_write = mem_store._write_batch
+
+        def slow_write(statements):
+            time.sleep(0.05)  # widens the window between the count and the write
+            real_write(statements)
+
+        monkeypatch.setattr(mem_store, "_write_batch", slow_write)
+        barrier = threading.Barrier(2)
+        results = []
+
+        def write(desc):
+            barrier.wait(timeout=5)
+            results.append(upsert_conference(mem_store, make_conference(desc=desc)))
+
+        threads = [threading.Thread(target=write, args=(desc,)) for desc in ("a", "b")]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        assert sorted(results) == ["inserted", "updated"]
 
     def test_crawl_log_round_trip(self, mem_store):
         log = CrawlLog(status=CrawlStatus.STORED, attempts=2,
