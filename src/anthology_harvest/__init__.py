@@ -26,6 +26,7 @@ from .errors import (
     Unresolvable,
 )
 from .fetcher import (
+    ConnectionPool,
     FetchPolicy,
     FetchResult,
     FixtureSource,

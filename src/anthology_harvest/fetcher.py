@@ -7,6 +7,12 @@ transport failures back off exponentially, 4xx fails immediately -- and a
 politeness rule: consecutive request *starts* across all workers are spaced
 at least ``min_interval_ms`` apart, enforced by one shared rate gate.
 
+Requests go out over ``http.client`` connections that a ``ConnectionPool``
+keeps open between requests (HTTP/1.1 persistent connections), so a crawl
+pays for one connection, and one TLS handshake, per worker rather than per
+request.  Redirects are followed and the ``*_proxy``/``no_proxy`` settings
+of the environment are honoured, as ``urllib`` does.
+
 Every network request carries an ``X-Request-Start`` header holding the
 client's monotonic start time in nanoseconds; the bundled mock server logs
 it, which lets tests verify the politeness spacing at the point where it is
@@ -15,17 +21,20 @@ jitter.
 """
 from __future__ import annotations
 
+import base64
 import gzip
 import http.client
 import posixpath
+import select
+import socket
+import string
 import threading
 import time
-import urllib.error
-import urllib.request
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from urllib.parse import quote, urljoin, urlparse
+from urllib.parse import quote, unquote, urljoin, urlparse, urlsplit
+from urllib.request import getproxies, proxy_bypass
 
 from .errors import Exhausted, NotFound, Unresolvable
 
@@ -39,6 +48,12 @@ _URL_SAFE = "!#$%&'()*+,/:;=?@[]~"
 # answer (OSError, HTTPException), or a body that fails gzip decoding
 # (EOFError, zlib.error; BadGzipFile is an OSError).
 _TRANSIENT = (OSError, http.client.HTTPException, EOFError, zlib.error)
+# The answers that send the client on to their ``Location``, and how many of
+# them one request follows (as urllib's redirect handler does).
+_REDIRECTS = frozenset({301, 302, 303, 307, 308})
+_MAX_REDIRECTS = 10
+_CONNECTION_CLASSES = {"http": http.client.HTTPConnection,
+                       "https": http.client.HTTPSConnection}
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,19 +169,6 @@ class RateGate:
         return slot
 
 
-_default_gates: dict[int, RateGate] = {}
-_default_gates_lock = threading.Lock()
-
-
-def _gate_for(policy: FetchPolicy) -> RateGate:
-    with _default_gates_lock:
-        gate = _default_gates.get(policy.min_interval_ms)
-        if gate is None:
-            gate = RateGate(policy.min_interval_ms)
-            _default_gates[policy.min_interval_ms] = gate
-        return gate
-
-
 def _fixture_fetch(url: str, root: Path) -> FetchResult:
     parts = urlparse(url)
     if parts.scheme and parts.scheme not in ("http", "https"):
@@ -188,37 +190,172 @@ def _fixture_fetch(url: str, root: Path) -> FetchResult:
     return FetchResult(url=url, body=body, status=200, attempts_used=1)
 
 
-def _http_get(url: str, headers: dict[str, str], timeout: float) -> tuple[int, bytes]:
-    """One GET over ``urllib.request``; any HTTP answer returns ``(status, body)``.
+@dataclass(frozen=True, slots=True)
+class _Link:
+    """One connection and how to address requests over it.
 
-    An error status comes back as its code with an empty body.  A
-    ``Content-Encoding: gzip`` body is decoded here, since urllib leaves it
-    encoded.  Transport failures raise one of ``_TRANSIENT``; a URL that
-    ``http.client`` rejects raises ``InvalidURL`` or ``UnicodeError``.
+    ``proxy_headers`` is None for a connection to the origin (or a tunnel
+    through a proxy), whose requests name only the path.  Over a plain
+    proxy every request names the absolute URL and carries these headers.
     """
-    request = urllib.request.Request(quote(url, safe=_URL_SAFE), headers=headers)
+
+    conn: http.client.HTTPConnection
+    proxy_headers: dict[str, str] | None = None
+
+
+def _connect(scheme: str, host: str, timeout: float) -> _Link:
+    """A new, not yet opened connection to ``host`` (``name[:port]``),
+    through the environment's proxy for ``scheme`` unless it is bypassed."""
+    proxy = getproxies().get(scheme)
+    if not proxy or proxy_bypass(host):
+        return _Link(_CONNECTION_CLASSES[scheme](host, timeout=timeout))
+    parts = urlsplit(proxy if "://" in proxy else f"{scheme}://{proxy}")
+    userinfo, _, hostport = parts.netloc.rpartition("@")
+    user, _, password = userinfo.partition(":")
+    headers = {}
+    if user and password:
+        credentials = f"{unquote(user)}:{unquote(password)}".encode()
+        headers["Proxy-Authorization"] = "Basic " + base64.b64encode(credentials).decode()
+    if scheme == "https":
+        conn = http.client.HTTPSConnection(unquote(hostport), timeout=timeout)
+        conn.set_tunnel(host, headers=headers)
+        return _Link(conn)
+    conn = _CONNECTION_CLASSES.get(parts.scheme, http.client.HTTPConnection)(
+        unquote(hostport), timeout=timeout)
+    return _Link(conn, headers)
+
+
+def _is_dropped(sock: socket.socket) -> bool:
+    """Whether an idle connection's socket reads as ready.  A server sends
+    nothing unasked, so a ready socket was closed by the peer (or holds
+    bytes that no request of ours asked for); either way it is not reused."""
     try:
-        resp = urllib.request.urlopen(request, timeout=timeout)
-    except urllib.error.HTTPError as err:
-        err.close()
-        return err.code, b""
-    with resp:
+        return bool(select.select([sock], [], [], 0)[0])
+    except (OSError, ValueError):  # closed, or a descriptor select cannot watch
+        return True
+
+
+class ConnectionPool:
+    """Idle connections kept open for reuse, at most ``size`` per origin
+    (``scheme``, ``host[:port]``).
+
+    A connection is taken for one exchange and given back only when its
+    answer was read to the end and the server keeps it open; one that
+    failed is closed.  Before an idle connection is reused it is dropped if
+    the server has closed it meanwhile.  Thread-safe.
+    """
+
+    def __init__(self, size: int):
+        self._size = size
+        self._idle: dict[tuple[str, str], list[_Link]] = {}
+        self._lock = threading.Lock()
+
+    def take(self, scheme: str, host: str, timeout: float) -> _Link:
+        """An idle connection to the origin, or else a new one."""
+        while True:
+            with self._lock:
+                idle = self._idle.get((scheme, host))
+                link = idle.pop() if idle else None
+            if link is None:
+                return _connect(scheme, host, timeout)
+            if not _is_dropped(link.conn.sock):
+                link.conn.sock.settimeout(timeout)
+                return link
+            link.conn.close()
+
+    def give(self, scheme: str, host: str, link: _Link) -> None:
+        """Return a connection whose last answer was read to the end."""
+        if link.conn.sock is not None:  # None: the server asked to close it
+            with self._lock:
+                idle = self._idle.setdefault((scheme, host), [])
+                if len(idle) < self._size:
+                    idle.append(link)
+                    return
+        link.conn.close()
+
+    def close(self) -> None:
+        """Close every idle connection."""
+        with self._lock:
+            links = [link for idle in self._idle.values() for link in idle]
+            self._idle.clear()
+        for link in links:
+            link.conn.close()
+
+
+def _exchange(target: str, headers: dict[str, str], timeout: float,
+              pool: ConnectionPool) -> tuple[http.client.HTTPResponse, bytes]:
+    """Send one GET for the percent-encoded absolute URL ``target`` over a
+    pooled connection and read the whole answer, so the connection can
+    carry the next request."""
+    parts = urlsplit(target)
+    host = unquote(parts.netloc)
+    link = pool.take(parts.scheme, host, timeout)
+    if link.proxy_headers is None:
+        request_target = target[len(parts.scheme) + 3 + len(parts.netloc):] or "/"
+    else:
+        request_target = target
+        headers = {**headers, **link.proxy_headers}
+    try:
+        link.conn.request("GET", request_target, headers=headers)
+        resp = link.conn.getresponse()
         body = resp.read()
-        encoding = resp.headers.get("Content-Encoding", "")
-    if encoding.strip().lower() == "gzip":
+    except BaseException:
+        link.conn.close()
+        raise
+    pool.give(parts.scheme, host, link)
+    return resp, body
+
+
+def _http_get(url: str, headers: dict[str, str], timeout: float,
+              pool: ConnectionPool) -> tuple[int, bytes]:
+    """One GET over a connection from ``pool``; any HTTP answer returns
+    ``(status, body)``.
+
+    The URL is percent-encoded for the request line.  A 301, 302, 303, 307
+    or 308 answer is followed to its ``Location`` (at most
+    ``_MAX_REDIRECTS`` times, all within this one call).  Any other status
+    outside 2xx comes back as its code with an empty body.  A
+    ``Content-Encoding: gzip`` body is decoded.  Transport failures raise
+    one of ``_TRANSIENT``; a URL that ``http.client`` rejects raises
+    ``InvalidURL`` or ``UnicodeError``.
+    """
+    target = quote(url, safe=_URL_SAFE).split("#", 1)[0]
+    for redirects in range(_MAX_REDIRECTS + 1):
+        resp, body = _exchange(target, headers, timeout, pool)
+        if resp.status not in _REDIRECTS or redirects == _MAX_REDIRECTS:
+            break
+        location = resp.getheader("Location") or resp.getheader("URI")
+        if not location:
+            break
+        # Header values arrive decoded as ISO-8859-1: recover the bytes and
+        # encode what a request line cannot carry.
+        target = urljoin(target, quote(location, encoding="iso-8859-1",
+                                       safe=string.punctuation)).split("#", 1)[0]
+        if urlsplit(target).scheme not in _CONNECTION_CLASSES:
+            break
+    if not 200 <= resp.status < 300:
+        return resp.status, b""
+    if resp.getheader("Content-Encoding", "").strip().lower() == "gzip":
         body = gzip.decompress(body)
     return resp.status, body
 
 
 def fetch(url: str, policy: FetchPolicy, source: Source, *,
-          gate: RateGate | None = None) -> FetchResult:
+          gate: RateGate | None = None, pool: ConnectionPool | None = None
+          ) -> FetchResult:
     """Retrieve one page from the given source under the given policy.
 
     Returns the body on 2xx.  Retries with exponential backoff on 5xx and
     transport failures (connection errors, timeouts, truncated answers,
     corrupt gzip bodies), up to ``policy.max_attempts``; 4xx fails
     immediately.  Every attempt counts as a request start for politeness
-    spacing.
+    spacing, and is sent once: a request is never repeated unless an
+    attempt is spent on it.
+
+    Requests start when ``gate`` clears them (a fresh gate when none is
+    given, which spaces only this call's attempts) and go over connections
+    from ``pool``; without one, the call opens its own connection and
+    closes it before returning.
 
     Raises:
         NotFound: 4xx answer, or a missing fixture file.
@@ -233,9 +370,20 @@ def fetch(url: str, policy: FetchPolicy, source: Source, *,
     parts = urlparse(url)
     if parts.scheme not in ("http", "https") or not parts.netloc:
         raise Unresolvable(f"not an absolute http(s) URL: {url!r}", url=url)
-
     if gate is None:
-        gate = _gate_for(policy)
+        gate = RateGate(policy.min_interval_ms)
+    if pool is not None:
+        return _fetch_http(url, policy, gate, pool)
+    pool = ConnectionPool(1)
+    try:
+        return _fetch_http(url, policy, gate, pool)
+    finally:
+        pool.close()
+
+
+def _fetch_http(url: str, policy: FetchPolicy, gate: RateGate,
+                pool: ConnectionPool) -> FetchResult:
+    """The attempts of ``fetch`` for a network source."""
     timeout = policy.timeout_ms / 1000.0
     backoff = policy.base_backoff_ms / 1000.0
     last_reason = "no attempt made"
@@ -249,7 +397,7 @@ def fetch(url: str, policy: FetchPolicy, source: Source, *,
             START_HEADER: str(slot_ns),
         }
         try:
-            status, body = _http_get(url, headers, timeout)
+            status, body = _http_get(url, headers, timeout, pool)
         except (http.client.InvalidURL, UnicodeError) as exc:
             # A non-numeric port or a host name IDNA cannot encode.
             raise Unresolvable(f"malformed URL {url!r}: {exc}", url=url) from exc

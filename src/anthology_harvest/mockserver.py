@@ -7,12 +7,17 @@ fetcher always does) its value becomes the logged timestamp, so politeness
 gaps are measured where they are enforced; otherwise the server's own
 monotonic receipt time is used.
 
+The server speaks HTTP/1.1 (``http.server``) and keeps each connection open
+between requests, as a real server does.  It counts the connections it
+accepts, and ``stop`` ends the ones still open.
+
 Status scripting: ``script(path, [503, 503, 200])`` answers the first two
 requests with 503 and every later one with 200 -- a sequence repeats its
 last element once exhausted, so ``[500]`` fails a path permanently.
 """
 from __future__ import annotations
 
+import socket
 import threading
 import time
 from dataclasses import dataclass
@@ -36,10 +41,26 @@ class ScriptedCorpusServer:
         self._scripts: dict[str, list[int]] = {}
         self._script_cursor: dict[str, int] = {}
         self._log: list[LoggedRequest] = []
+        self._connections = 0
+        self._open: set[socket.socket] = set()
+        self._stopping = False
         self._lock = threading.Lock()
         server = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+            # The headers and the body go out in separate writes; without
+            # this the body waits for the client's delayed ACK (~40 ms).
+            disable_nagle_algorithm = True
+
+            def setup(self) -> None:
+                super().setup()
+                server._opened(self.connection)
+
+            def finish(self) -> None:
+                server._closed(self.connection)
+                super().finish()
+
             def do_GET(self) -> None:  # noqa: N802 (http.server API)
                 server._handle(self)
 
@@ -73,6 +94,11 @@ class ScriptedCorpusServer:
             counts[entry.path] = counts.get(entry.path, 0) + 1
         return counts
 
+    def connection_count(self) -> int:
+        """Connections accepted since the server started."""
+        with self._lock:
+            return self._connections
+
     def reset_log(self) -> None:
         with self._lock:
             self._log.clear()
@@ -85,7 +111,14 @@ class ScriptedCorpusServer:
         return self
 
     def stop(self) -> None:
+        """Stop serving, end the connections still open (their handlers
+        would otherwise wait for a next request), and join the handlers."""
         self._httpd.shutdown()
+        with self._lock:
+            self._stopping = True
+            still_open = list(self._open)
+        for conn in still_open:
+            _hang_up(conn)
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)
@@ -97,6 +130,18 @@ class ScriptedCorpusServer:
         self.stop()
 
     # -- handler internals -------------------------------------------------
+
+    def _opened(self, conn: socket.socket) -> None:
+        with self._lock:
+            self._connections += 1
+            self._open.add(conn)
+            stopping = self._stopping
+        if stopping:
+            _hang_up(conn)
+
+    def _closed(self, conn: socket.socket) -> None:
+        with self._lock:
+            self._open.discard(conn)
 
     def _next_status(self, path: str) -> int | None:
         with self._lock:
@@ -147,3 +192,11 @@ class ScriptedCorpusServer:
         handler.send_header("Content-Length", str(len(body)))
         handler.end_headers()
         handler.wfile.write(body)
+
+
+def _hang_up(conn: socket.socket) -> None:
+    """End a connection from the server's side, so its handler stops waiting."""
+    try:
+        conn.shutdown(socket.SHUT_RDWR)
+    except OSError:  # already closed by the client
+        pass

@@ -5,8 +5,10 @@ A run discovers the venue index, parses the venue pages it needs, plans one
 task per conference (proceedings page), and executes the tasks on a pool of
 worker threads.  Each task is fetch -> parse -> persist; pagination links
 discovered on a proceedings page are followed within the same task.  The
-workers share only the task queue, the fetcher's rate gate, and the store's
-serialized write path; everything else they touch is immutable.
+workers share only the task queue, the fetcher's rate gate and connection
+pool, and the store's serialized write path; everything else they touch is
+immutable.  The pool keeps at most one idle connection per worker and
+origin, and is closed when the run ends.
 
 All writes for one task go to the store as a single atomic batch, so the
 persisted record set is independent of the worker count.  A permanently
@@ -37,7 +39,7 @@ from pathlib import Path
 
 from . import htmldoc, model, parser, store as store_mod
 from .errors import EmptyPlan, FetchError, HarvestError, StoreUnavailable
-from .fetcher import FetchPolicy, RateGate, Source, fetch
+from .fetcher import ConnectionPool, FetchPolicy, RateGate, Source, fetch
 from .model import (
     Category,
     ConferenceRecord,
@@ -174,6 +176,7 @@ class CrawlSession:
         self.config = config
         self.handle = handle
         self._gate = RateGate(config.policy.min_interval_ms)
+        self._pool = ConnectionPool(config.workers)
         self._lock = threading.Lock()
         self._queue: queue.Queue[ConferenceRecord] = queue.Queue()
         self._cancel = threading.Event()
@@ -202,7 +205,8 @@ class CrawlSession:
 
     def _discover(self) -> tuple[list, dict[str, list[ConferenceRecord]]]:
         source = self.config.source
-        res = fetch(source.start_url, self.config.policy, source, gate=self._gate)
+        res = fetch(source.start_url, self.config.policy, source,
+                    gate=self._gate, pool=self._pool)
         index = parser.parse_index(res.body.decode("utf-8", errors="replace"),
                                    base_url=source.start_url)
         wanted = ({canonical_venue(v) for v in self.config.venues}
@@ -212,7 +216,7 @@ class CrawlSession:
             venue_key = canonical_venue(name)
             if wanted is not None and venue_key not in wanted:
                 continue
-            page = fetch(url, self.config.policy, source, gate=self._gate)
+            page = fetch(url, self.config.policy, source, gate=self._gate, pool=self._pool)
             records = parser.parse_venue_page(
                 page.body.decode("utf-8", errors="replace"), category, venue_key,
                 base_url=url)
@@ -224,7 +228,8 @@ class CrawlSession:
     def _fetch_page(self, url: str, conf: ConferenceRecord, pages: _Pages) -> bytes:
         """Fetch one page of ``conf``, adding its attempts and digest to ``pages``."""
         try:
-            page = fetch(url, self.config.policy, self.config.source, gate=self._gate)
+            page = fetch(url, self.config.policy, self.config.source,
+                         gate=self._gate, pool=self._pool)
         except FetchError as exc:
             pages.attempts += exc.attempts_used
             raise
@@ -342,13 +347,18 @@ class CrawlSession:
     def prepare(self) -> int:
         """Discover, plan, and queue the tasks; returns the task count.
 
-        Raises:
+        Raises (and closes the session's connections):
             StoreUnavailable: the store cannot accept writes at all.
             EmptyPlan: nothing matched the venue/year filter.
+            HarvestError: discovery failed (index or venue pages).
         """
-        self._stored = store_mod.load_stored_pages(self.handle)  # probes the store too
-        index, venue_pages = self._discover()
-        plan = plan_tasks(self.config, index, venue_pages)
+        try:
+            self._stored = store_mod.load_stored_pages(self.handle)  # probes the store too
+            index, venue_pages = self._discover()
+            plan = plan_tasks(self.config, index, venue_pages)
+        except BaseException:
+            self._pool.close()
+            raise
         with self._lock:
             self._total = len(plan)
         for conf in plan:
@@ -357,8 +367,9 @@ class CrawlSession:
         return len(plan)
 
     def execute(self) -> CrawlReport:
-        """Run the prepared tasks to completion on the worker pool, then
-        checkpoint the store, so that its file alone holds the crawl."""
+        """Run the prepared tasks to completion on the worker pool, close
+        the session's connections, then checkpoint the store, so that its
+        file alone holds the crawl."""
         if not self._prepared:
             raise RuntimeError("call prepare() before execute()")
         t0 = time.monotonic()
@@ -368,6 +379,7 @@ class CrawlSession:
             t.start()
         for t in threads:
             t.join()
+        self._pool.close()
         try:
             self.handle.checkpoint()
         except StoreUnavailable as exc:

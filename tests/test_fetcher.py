@@ -1,9 +1,11 @@
+import base64
 import gzip
 import os
 import socket
 import subprocess
 import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -11,15 +13,20 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from anthology_harvest import (
+    ConnectionPool,
+    CrawlConfig,
     Exhausted,
     FetchPolicy,
     FixtureSource,
     MockSource,
     NotFound,
     RateGate,
+    StoreConfig,
     Unresolvable,
     fetch,
+    init_schema,
     parse_source_spec,
+    run_crawl,
 )
 from anthology_harvest.fetcher import FIXTURE_BASE, LiveSource
 from anthology_harvest.mockserver import ScriptedCorpusServer
@@ -196,31 +203,52 @@ class TestMockServerItself:
 
 
 class ReplyServer:
-    """A local HTTP server answering the n-th request with ``replies[n]``.
+    """A local HTTP/1.0 server answering the n-th request with ``replies[n]``.
 
     The last reply repeats once the list is spent.  A reply is ``None`` to
-    close the connection without an answer, or ``(headers, body)`` for a 200
-    whose ``Content-Length`` is the body's length unless ``headers`` sets it.
+    close the connection without an answer, ``(headers, body)`` for a 200,
+    or ``(status, headers, body)``; ``Content-Length`` is the body's length
+    unless ``headers`` sets it.  With ``closes_idle`` the server answers as
+    HTTP/1.1, so the client may keep the connection, but closes it after
+    each answer, as a server does whose idle timeout has passed.
+    ``connections`` counts the connections accepted, and ``headers`` holds
+    each request's headers.
     """
 
-    def __init__(self, replies):
+    def __init__(self, replies, closes_idle=False):
         self.replies = list(replies)
         self.paths: list[str] = []
+        self.headers = []
+        self.connections = 0
         server = self
 
         class Handler(BaseHTTPRequestHandler):
+            if closes_idle:
+                protocol_version = "HTTP/1.1"
+
+            def setup(self) -> None:
+                super().setup()
+                server.connections += 1
+
             def do_GET(self) -> None:  # noqa: N802 (http.server API)
                 server.paths.append(self.path)
+                server.headers.append(self.headers)
                 reply = server.replies[min(len(server.paths), len(server.replies)) - 1]
+                self.close_connection = True
                 if reply is None:
                     return
-                headers, body = reply
-                self.send_response(200)
+                status, headers, body = reply if len(reply) == 3 else (200, *reply)
+                self.send_response(status)
                 headers = {"Content-Length": str(len(body)), **headers}
                 for name, value in headers.items():
                     self.send_header(name, value)
                 self.end_headers()
                 self.wfile.write(body)
+
+            def do_CONNECT(self) -> None:  # noqa: N802 (http.server API)
+                server.paths.append(f"CONNECT {self.path}")
+                server.headers.append(self.headers)
+                self.send_error(502)
 
             def log_message(self, fmt: str, *args) -> None:
                 pass
@@ -280,10 +308,98 @@ class TestTransport:
         assert err.value.attempts_used == FAST.max_attempts
         assert len(server.paths) == FAST.max_attempts
 
+    @pytest.mark.parametrize("status", [301, 308])
+    def test_redirect_is_followed_within_one_attempt(self, status):
+        moved = (status, {"Location": "/q.html"}, b"moved")
+        with ReplyServer([moved, ({}, PAGE)]) as server:
+            res = fetch("/p.html", FAST, server.source)
+        assert res.body == PAGE
+        assert res.attempts_used == 1
+        assert server.paths == ["/p.html", "/q.html"]
+
+    @pytest.mark.parametrize("closes_idle", [False, True], ids=["http-1.0", "closes-idle"])
+    def test_crawl_over_a_server_that_closes_connections(self, fixtures_root, closes_idle):
+        pages = ["/index.html", "/venues/acl.html", "/proceedings/acl-2022.html"]
+        replies = [({}, (fixtures_root / page[1:]).read_bytes()) for page in pages]
+        # The gate spaces the requests, so each connection is closed by the
+        # server before the next request starts.
+        policy = FetchPolicy(max_attempts=3, base_backoff_ms=1, timeout_ms=2000,
+                             min_interval_ms=50)
+        with ReplyServer(replies, closes_idle=closes_idle) as server:
+            config = CrawlConfig(venues=("acl",), year_range=(2022, 2022), workers=1,
+                                 policy=policy, source=server.source)
+            handle = init_schema(StoreConfig(location=":memory:"))
+            report = run_crawl(config, handle)
+            handle.close()
+        assert report.tasks_succeeded == 1
+        assert report.per_conference["acl-2022"].attempts == 1
+        assert server.paths == pages
+        assert server.connections == len(pages)
+
+    def test_environment_proxy_is_honoured(self):
+        script = """
+import socket, sys
+from anthology_harvest import Exhausted, FetchPolicy, LiveSource, fetch
+real_getaddrinfo = socket.getaddrinfo
+def local_only(host, *args, **kwargs):
+    assert host == "127.0.0.1", f"resolved {host}"
+    return real_getaddrinfo(host, *args, **kwargs)
+socket.getaddrinfo = local_only
+policy = FetchPolicy(max_attempts=1, min_interval_ms=0)
+fetch("http://example.invalid/p.html", policy, LiveSource())
+fetch(sys.argv[1] + "/p.html", policy, LiveSource())
+try:
+    fetch("https://example.invalid/p.html", policy, LiveSource())
+except Exhausted:
+    pass
+"""
+        with ReplyServer([({}, PAGE)]) as proxy, ReplyServer([({}, PAGE)]) as direct:
+            proxy_url = proxy.source.endpoint.replace("://", "://user:p%20w@")
+            env = {k: v for k, v in os.environ.items() if not k.lower().endswith("_proxy")}
+            env.update(PYTHONPATH=str(REPO_ROOT / "src"), http_proxy=proxy_url,
+                       https_proxy=proxy_url, no_proxy="127.0.0.1")
+            done = subprocess.run([sys.executable, "-c", script, direct.source.endpoint],
+                                  env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert proxy.paths == ["http://example.invalid/p.html",
+                               "CONNECT example.invalid:443"]
+        credentials = "Basic " + base64.b64encode(b"user:p w").decode()
+        assert [h["Proxy-Authorization"] for h in proxy.headers] == [credentials] * 2
+        assert direct.paths == ["/p.html"]
+        assert "Proxy-Authorization" not in direct.headers[0]
+
     def test_request_path_is_percent_encoded(self):
         with ReplyServer([({}, PAGE)]) as server:
             fetch(server.source.endpoint + "/a b/caf\u00e9%41.html", FAST, server.source)
         assert server.paths == ["/a%20b/caf%C3%A9%41.html"]
+
+
+class TestConnections:
+    def test_sequential_fetches_share_one_connection(self, mock_server, fixtures_root):
+        source = MockSource(endpoint=mock_server.base_url)
+        pool = ConnectionPool(1)
+        started = time.monotonic()
+        for _ in range(100):
+            res = fetch(source.start_url, FAST, source, pool=pool)
+        elapsed = time.monotonic() - started
+        pool.close()
+        assert res.body == (fixtures_root / "index.html").read_bytes()
+        assert mock_server.connection_count() == 1
+        assert len(mock_server.request_log()) == 100
+        # A ~40 ms stall per request (Nagle against delayed ACK) takes ~4 s.
+        assert elapsed < 2.0, f"100 fetches took {elapsed:.2f} s"
+
+    def test_error_answer_keeps_the_connection(self, mock_server):
+        source = MockSource(endpoint=mock_server.base_url)
+        mock_server.script("/venues/acl.html", [503, 200])
+        pool = ConnectionPool(1)
+        res = fetch(source.endpoint + "/venues/acl.html", FAST, source, pool=pool)
+        with pytest.raises(NotFound):
+            fetch(source.endpoint + "/venues/missing.html", FAST, source, pool=pool)
+        fetch(source.start_url, FAST, source, pool=pool)
+        pool.close()
+        assert res.attempts_used == 2
+        assert mock_server.connection_count() == 1
 
 
 def test_package_runs_without_requests(fixtures_root):

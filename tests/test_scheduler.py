@@ -1,6 +1,8 @@
+import gc
 import logging
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ from anthology_harvest import (
     EmptyPlan,
     FetchPolicy,
     FixtureSource,
+    HarvestError,
     MockSource,
     StoreConfig,
     init_schema,
@@ -263,6 +266,74 @@ class TestMockCrawl:
                          if log.last_error == "cancelled"]
             assert cancelled, "expected at least one task drained as cancelled"
             handle.close()
+
+
+def unclosed_sockets(action) -> list[str]:
+    """The warnings for sockets left open once ``action`` ran and its
+    garbage was collected."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        action()
+        gc.collect()
+    return [str(w.message) for w in caught
+            if issubclass(w.category, ResourceWarning) and "socket" in str(w.message)]
+
+
+class TestConnections:
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_one_connection_per_worker(self, fixtures_root, workers):
+        with ScriptedCorpusServer(fixtures_root) as server:
+            config = CrawlConfig(venues=(), year_range=(2019, 2023), workers=workers,
+                                 policy=FAST_POLICY,
+                                 source=MockSource(endpoint=server.base_url))
+            handle = init_schema(StoreConfig(location=":memory:"))
+            report = run_crawl(config, handle)
+            handle.close()
+            connections = server.connection_count()
+            counts = server.request_counts()
+        assert report.tasks_succeeded == report.tasks_total == 25
+        assert 1 <= connections <= workers
+        # Every page of the corpus once: the index, 5 venues, 25 proceedings.
+        assert counts == {"/" + page.relative_to(fixtures_root).as_posix(): 1
+                          for page in fixtures_root.rglob("*.html")}
+
+    def crawl_leaves_no_socket(self, fixtures_root, script=(), cancel=False):
+        """Crawl the fixtures over the mock server, check that no socket is
+        left open, and return the server's request counts."""
+        with ScriptedCorpusServer(fixtures_root) as server:
+            for path, statuses in script:
+                server.script(path, statuses)
+            handle = init_schema(StoreConfig(location=":memory:"))
+            config = CrawlConfig(venues=(), year_range=(2019, 2023), workers=2,
+                                 policy=FAST_POLICY,
+                                 source=MockSource(endpoint=server.base_url))
+
+            def crawl():
+                try:
+                    if not cancel:
+                        run_crawl(config, handle)
+                        return
+                    session = CrawlSession(config, handle)
+                    session.prepare()
+                    session.cancel()
+                    session.execute()
+                except HarvestError:
+                    pass
+
+            assert unclosed_sockets(crawl) == []
+            handle.close()
+            return server.request_counts()
+
+    def test_crawl_closes_its_connections(self, fixtures_root):
+        assert len(self.crawl_leaves_no_socket(fixtures_root)) == 31
+
+    def test_failed_discovery_closes_its_connections(self, fixtures_root):
+        counts = self.crawl_leaves_no_socket(fixtures_root, [("/index.html", [500])])
+        assert counts == {"/index.html": FAST_POLICY.max_attempts}
+
+    def test_cancelled_crawl_closes_its_connections(self, fixtures_root):
+        counts = self.crawl_leaves_no_socket(fixtures_root, cancel=True)
+        assert not any(path.startswith("/proceedings/") for path in counts)
 
 
 def write_paginated_site(root: Path) -> None:
