@@ -107,13 +107,16 @@ def cmd_harvest(args: argparse.Namespace, cfg: ToolConfig) -> int:
             source = parse_source_spec(source_spec)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-    config = scheduler.CrawlConfig(
-        venues=venues,
-        year_range=years,
-        workers=args.workers or crawl.workers,
-        policy=crawl.policy(),
-        source=source,
-    )
+    try:
+        config = scheduler.CrawlConfig(
+            venues=venues,
+            year_range=years,
+            workers=crawl.workers if args.workers is None else args.workers,
+            policy=crawl.policy(),
+            source=source,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     handle = _open_store(cfg)
     try:
         report = scheduler.run_crawl(config, handle)
@@ -240,7 +243,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         description="Harvest an anthology-style publication site into a local "
                     "store and slice the result.")
     root.add_argument("--config", type=Path, default=None,
-                      help="settings file (TOML-style key/value document)")
+                      help="settings file (TOML)")
     sub = root.add_subparsers(dest="command", required=True)
 
     harvest = sub.add_parser("harvest", help="crawl venues into the local store")

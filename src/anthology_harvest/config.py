@@ -1,15 +1,14 @@
 """Settings file loading and layered overrides.
 
-The settings file is a TOML-style key/value document: ``[section]``
-headers, ``key = value`` lines, values being double-quoted strings,
-integers, booleans, or flat arrays of those.  CLI flags override file
-values, and the ``AAH_DB`` environment variable overrides the store
+The settings file is TOML, read by ``tomllib``; only the keys of
+``_KEY_TYPES`` are read, each checked for its type.  CLI flags override
+file values, and the ``AAH_DB`` environment variable overrides the store
 location.
 """
 from __future__ import annotations
 
 import os
-import re
+import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,53 +18,36 @@ from .store import StoreConfig
 DEFAULT_CONFIG_PATH = Path("anthology.toml")
 ENV_DB = "AAH_DB"
 
-_SECTION_RE = re.compile(r"^\[([A-Za-z0-9_.-]+)\]$")
-_KEY_RE = re.compile(r"^([A-Za-z0-9_-]+)\s*=\s*(.+)$")
+# The known keys of each section, with their TOML types.
+_KEY_TYPES = {
+    "store": {"database_name": str, "location": str},
+    "crawl": {"venues": list, "year_start": int, "year_end": int, "workers": int,
+              "max_attempts": int, "base_backoff_ms": int, "timeout_ms": int,
+              "min_interval_ms": int, "source": str, "index_url": str},
+    "paths": {"fixture_root": str},
+}
+_TYPE_NAMES = {str: "a string", int: "an integer", list: "an array of strings"}
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _parse_scalar(token: str, lineno: int):
-    token = token.strip()
-    if token.startswith('"') and token.endswith('"') and len(token) >= 2:
-        return token[1:-1]
-    if token in ("true", "false"):
-        return token == "true"
-    if re.fullmatch(r"-?\d+", token):
-        return int(token)
-    raise ConfigError(f"line {lineno}: cannot parse value {token!r}")
-
-
-def parse_toml_subset(text: str) -> dict[str, dict]:
-    """Parse the supported TOML subset into {section: {key: value}}."""
-    out: dict[str, dict] = {"": {}}
-    section = ""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        m = _SECTION_RE.match(line)
-        if m:
-            section = m.group(1)
-            out.setdefault(section, {})
-            continue
-        m = _KEY_RE.match(line)
-        if not m:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = m.group(1), m.group(2).strip()
-        if value.startswith("[") and value.endswith("]"):
-            inner = value[1:-1].strip()
-            items = [] if not inner else [
-                _parse_scalar(part, lineno) for part in inner.split(",")
-            ]
-            out[section][key] = items
-        else:
-            # Allow trailing comments after scalar values.
-            value = value.split(" #")[0].strip()
-            out[section][key] = _parse_scalar(value, lineno)
-    return out
+def _section(data: dict, name: str) -> dict:
+    """The known keys of the ``[name]`` table of ``data``, each checked for
+    its type."""
+    table = data.get(name, {})
+    if not isinstance(table, dict):
+        raise ConfigError(f"{name} must be a table")
+    known = {key: table[key] for key in _KEY_TYPES[name] if key in table}
+    for key, value in known.items():
+        kind = _KEY_TYPES[name][key]
+        # bool is an int subclass, but `workers = true` is not a count.
+        valid = (isinstance(value, kind) and not isinstance(value, bool)
+                 and (kind is not list or all(isinstance(item, str) for item in value)))
+        if not valid:
+            raise ConfigError(f"{name}.{key} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return known
 
 
 @dataclass(frozen=True)
@@ -103,36 +85,27 @@ def load_config(path: Path | None = None, env: dict[str, str] | None = None
     environment override for the store location."""
     env = os.environ if env is None else env
     target = path or DEFAULT_CONFIG_PATH
-    data: dict[str, dict] = {}
+    data: dict = {}
     if Path(target).is_file():
-        data = parse_toml_subset(Path(target).read_text(encoding="utf-8"))
+        try:
+            data = tomllib.loads(Path(target).read_text(encoding="utf-8"))
+        except (tomllib.TOMLDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{target}: {exc}") from None
     elif path is not None:
         raise ConfigError(f"config file {path} not found")
 
-    store_raw = data.get("store", {})
-    crawl_raw = data.get("crawl", {})
-    paths_raw = data.get("paths", {})
-
-    store_cfg = StoreConfig(
-        database_name=store_raw.get("database_name", "aclanthology"),
-        location=env.get(ENV_DB) or store_raw.get("location", "."),
-    )
-    defaults = CrawlDefaults()
-    crawl_cfg = CrawlDefaults(
-        venues=tuple(crawl_raw.get("venues", [])),
-        year_start=crawl_raw.get("year_start", defaults.year_start),
-        year_end=crawl_raw.get("year_end", defaults.year_end),
-        workers=crawl_raw.get("workers", defaults.workers),
-        max_attempts=crawl_raw.get("max_attempts", defaults.max_attempts),
-        base_backoff_ms=crawl_raw.get("base_backoff_ms", defaults.base_backoff_ms),
-        timeout_ms=crawl_raw.get("timeout_ms", defaults.timeout_ms),
-        min_interval_ms=crawl_raw.get("min_interval_ms", defaults.min_interval_ms),
-        source=crawl_raw.get("source", defaults.source),
-        index_url=crawl_raw.get("index_url", defaults.index_url),
-    )
-    fixture_root = paths_raw.get("fixture_root")
+    store = _section(data, "store")
+    if env.get(ENV_DB):
+        store["location"] = env[ENV_DB]
+    crawl = _section(data, "crawl")
+    crawl["venues"] = tuple(crawl.get("venues", ()))
+    fixture_root = _section(data, "paths").get("fixture_root")
+    try:
+        store_cfg = StoreConfig(**store)
+    except ValueError as exc:
+        raise ConfigError(f"store.{exc}") from None
     return ToolConfig(
         store=store_cfg,
-        crawl=crawl_cfg,
+        crawl=CrawlDefaults(**crawl),
         fixture_root=Path(fixture_root) if fixture_root else None,
     )

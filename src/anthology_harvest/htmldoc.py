@@ -1,24 +1,21 @@
-"""A small DOM over html.parser events, enough for heuristic page extraction.
-
-The tree keeps element nodes (tag, attributes, children) with raw text as
-plain strings among the children.  Entity references are decoded by the
-tokenizer; ``Node.text()`` flattens inner markup to plain text with
-collapsed whitespace, which is the form record fields use.
+"""Reading a page into one flat list of elements, enough for heuristic
+page extraction.
 
 ``scan`` tokenizes a page with one compiled pattern and makes the handler
 calls ``html.parser`` would make, or declines a page outside its narrow
-grammar.  ``NestingParser`` holds the nesting rules the tree is built by,
-and ``NestingParser.read`` feeds a page to a reader by ``scan``, or by
-``html.parser`` when ``scan`` declines; readers that skip the tree (the
-parser's proceedings pass) subclass it, so every page is tokenized and
-nested the same way.
+grammar.  ``parse_html`` nests those calls (html.parser's own for a
+declined page) by tolerant rules into a ``Page``: every element in
+document order, each knowing its parent and the extent of its
+descendants, and the page's text data as chunks.  Entity references are
+decoded by the tokenizer; ``Page.text`` flattens an element's inner markup
+to plain text with collapsed whitespace, which is the form record fields
+use.  Every page reader in ``parser`` is a loop over a ``Page``.
 """
 from __future__ import annotations
 
 import re
 from html import unescape
 from html.parser import HTMLParser
-from typing import Iterator
 
 VOID_TAGS = {
     "area", "base", "br", "col", "embed", "hr", "img", "input",
@@ -124,164 +121,130 @@ def scan(html: str, handler) -> bool:
     return plain_text is None
 
 
-class Node:
-    __slots__ = ("tag", "attrs", "children")
+class Element:
+    """One element of a ``Page``: its tag, its (name, value) attribute
+    pairs as the tokenizer gave them, its class tuple, the position of its
+    parent (-1 at the top) and of its last descendant in ``Page.elements``,
+    and its slice ``start:end`` of ``Page.chunks``.  It holds no reference
+    to its page, so a parsed page is freed as soon as it is dropped."""
 
-    def __init__(self, tag: str, attrs: dict[str, str] | None = None):
+    __slots__ = ("tag", "attrs", "classes", "parent", "pos", "last", "start", "end")
+
+    def __init__(self, tag: str, attrs: tuple, classes: tuple[str, ...],
+                 parent: int, pos: int, start: int) -> None:
         self.tag = tag
-        self.attrs: dict[str, str] = attrs or {}
-        self.children: list[Node | str] = []
+        self.attrs = attrs
+        self.classes = classes
+        self.parent = parent
+        self.pos = self.last = pos
+        self.start = self.end = start
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Node {self.tag} {self.attrs}>"
+    def get(self, name: str) -> str | None:
+        """The value of attribute ``name``: the last duplicate wins, a
+        valueless attribute reads as "", and an absent one as None."""
+        found = None
+        for key, value in self.attrs:
+            if key == name:
+                found = value or ""
+        return found
 
-    def classes(self) -> list[str]:
-        return (self.attrs.get("class") or "").split()
 
-    def has_class(self, name: str) -> bool:
-        return name in self.classes()
+class Page:
+    """A parsed page: ``elements`` in document order and ``chunks``, the
+    text data in document order.  The elements inside ``e`` are
+    ``elements[e.pos + 1:e.last + 1]`` and its text is
+    ``chunks[e.start:e.end]``."""
 
-    def walk(self) -> Iterator[tuple["Node", "Node"]]:
-        """Depth-first iteration over (parent, element) pairs, document order.
+    __slots__ = ("elements", "chunks")
 
-        An explicit stack of child iterators keeps any nesting depth within
-        the interpreter's recursion limit.
-        """
-        stack = [(self, iter(self.children))]
-        while stack:
-            parent, children = stack[-1]
-            for child in children:
-                if isinstance(child, Node):
-                    yield parent, child
-                    stack.append((child, iter(child.children)))
-                    break
-            else:
-                stack.pop()
+    def __init__(self) -> None:
+        self.elements: list[Element] = []
+        self.chunks: list[str] = []
 
-    def find_all(self, tag: str | None = None, cls: str | None = None,
-                 attr: str | None = None) -> list["Node"]:
-        out = []
-        for _, node in self.walk():
-            if tag is not None and node.tag != tag:
-                continue
-            if cls is not None and not node.has_class(cls):
-                continue
-            if attr is not None and attr not in node.attrs:
-                continue
-            out.append(node)
-        return out
+    def inside(self, element: Element) -> list[Element]:
+        """The elements inside ``element``, in document order."""
+        return self.elements[element.pos + 1:element.last + 1]
 
-    def find(self, tag: str | None = None, cls: str | None = None,
-             attr: str | None = None) -> "Node | None":
-        for _, node in self.walk():
-            if tag is not None and node.tag != tag:
-                continue
-            if cls is not None and not node.has_class(cls):
-                continue
-            if attr is not None and attr not in node.attrs:
-                continue
-            return node
+    def find(self, cls: str) -> Element | None:
+        """The page's first element of class ``cls``."""
+        for element in self.elements:
+            if cls in element.classes:
+                return element
         return None
 
-    def text(self) -> str:
-        """Concatenated descendant text with whitespace collapsed."""
-        parts: list[str] = []
-        self._collect_text(parts)
-        return " ".join("".join(parts).split())
-
-    def _collect_text(self, parts: list[str]) -> None:
-        stack = [iter(self.children)]
-        while stack:
-            for child in stack[-1]:
-                if isinstance(child, str):
-                    parts.append(child)
-                else:
-                    stack.append(iter(child.children))
-                    break
-            else:
-                stack.pop()
+    def text(self, element: Element) -> str:
+        """The element's text data with whitespace collapsed."""
+        return " ".join("".join(self.chunks[element.start:element.end]).split())
 
 
-class NestingParser(HTMLParser):
-    """html.parser events nested by the tolerant rules every page reader
-    here shares: a void or self-closing tag never opens, an end tag closes
-    back to the nearest open element of its name, a stray end tag is
-    ignored, and what is still open at the end stays open.
-
-    A subclass gets ``on_start(tag, attrs, depth, opened)`` for each start
-    tag, ``depth`` being the number of elements open around it, and
-    ``on_close(depth)`` when the open elements at ``depth`` and deeper close.
-    """
+class _Reader(HTMLParser):
+    """html.parser events nested by tolerant rules into a ``Page``: a void
+    or self-closing tag never opens, an end tag closes back to the nearest
+    open element of its name, a stray end tag is ignored, and what is still
+    open at the end closes there."""
 
     def __init__(self) -> None:
         super().__init__(convert_charrefs=True)
-        self._open_tags: list[str] = []
-
-    @classmethod
-    def read(cls, html: str):
-        """A new reader given the whole of ``html``: by ``scan``, or, when
-        ``scan`` declines the page, by html.parser into a fresh reader."""
-        reader = cls()
-        if scan(html, reader):
-            return reader
-        reader = cls()
-        reader.feed(html)
-        reader.close()
-        return reader
-
-    def on_start(self, tag: str, attrs, depth: int, opened: bool) -> None:
-        raise NotImplementedError
-
-    def on_close(self, depth: int) -> None:
-        raise NotImplementedError
+        self.page = Page()
+        self._elements = self.page.elements
+        self._chunks = self.page.chunks
+        # Text data is only collected: the list's own append takes it.
+        self.handle_data = self._chunks.append
+        self._open: list[Element] = []
+        # Tag strings and class tuples are shared per distinct value.
+        # Attributes are kept as tuples: the garbage collector untracks a
+        # tuple of strings once it has seen it, whereas lists would reach
+        # the oldest generation with the page and make full collections
+        # come more often.
+        self._tags: dict[str, str] = {}
+        self._classes: dict[str | None, tuple[str, ...]] = {None: ()}
 
     def handle_starttag(self, tag: str, attrs) -> None:
-        depth = len(self._open_tags)
-        opened = tag not in VOID_TAGS
-        if opened:
-            self._open_tags.append(tag)
-        self.on_start(tag, attrs, depth, opened)
+        cls = None
+        for name, value in attrs:
+            if name == "class":
+                cls = value
+        classes = self._classes.get(cls)
+        if classes is None:
+            classes = self._classes[cls] = tuple(cls.split())
+        elements = self._elements
+        open_ = self._open
+        element = Element(self._tags.setdefault(tag, tag), tuple(attrs), classes,
+                          open_[-1].pos if open_ else -1, len(elements), len(self._chunks))
+        elements.append(element)
+        if tag not in VOID_TAGS:
+            open_.append(element)
 
     def handle_startendtag(self, tag: str, attrs) -> None:
-        self.on_start(tag, attrs, len(self._open_tags), False)
+        self.handle_starttag(tag, attrs)
+        if tag not in VOID_TAGS:
+            self._open.pop()
 
     def handle_endtag(self, tag: str) -> None:
-        tags = self._open_tags
-        for depth in range(len(tags) - 1, -1, -1):
-            if tags[depth] == tag:
-                del tags[depth:]
-                self.on_close(depth)
+        stack = self._open
+        for depth in range(len(stack) - 1, -1, -1):
+            if stack[depth].tag == tag:
+                self._close(depth)
                 return
 
-
-class _TreeBuilder(NestingParser):
-    def __init__(self) -> None:
-        super().__init__()
-        self.root = Node("#document")
-        self._stack = [self.root]
-
-    def on_start(self, tag: str, attrs, depth: int, opened: bool) -> None:
-        node = Node(tag, {k: (v if v is not None else "") for k, v in attrs})
-        self._stack[-1].children.append(node)
-        if opened:
-            self._stack.append(node)
-
-    def on_close(self, depth: int) -> None:
-        del self._stack[depth + 1:]
-
-    def handle_data(self, data: str) -> None:
-        if data:
-            self._stack[-1].children.append(data)
+    def _close(self, depth: int) -> None:
+        """Close the open elements at ``depth`` and deeper."""
+        last = len(self._elements) - 1
+        end = len(self._chunks)
+        stack = self._open
+        while len(stack) > depth:
+            element = stack.pop()
+            element.last = last
+            element.end = end
 
 
-def parse_html(html: str) -> Node:
-    """Parse HTML text into a Node tree rooted at a synthetic document node."""
-    return _TreeBuilder.read(html).root
-
-
-def base_href(root: Node) -> str | None:
-    """The document's ``<base href>`` target, if declared."""
-    base = root.find(tag="base")
-    if base is None:
-        return None
-    return base.attrs.get("href") or None
+def parse_html(html: str) -> Page:
+    """Read a page into a ``Page``: by ``scan``, or, when ``scan`` declines
+    the page, by html.parser into a fresh reader."""
+    reader = _Reader()
+    if not scan(html, reader):
+        reader = _Reader()
+        reader.feed(html)
+        reader.close()
+    reader._close(0)
+    return reader.page

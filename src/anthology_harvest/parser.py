@@ -17,12 +17,10 @@ extraction is testable against the bundled fixture corpus:
   ``pagination`` nav of follow-up links;
 * **paper** landing pages carry a ``paper-detail`` block.
 
-Proceedings pages, the large ones, are read in one pass over the
-tokenizer's events (``htmldoc.NestingParser.read``), keeping only the
-marked elements' attributes and text; the other pages are built into an
-``htmldoc`` tree and walked.  Both read the markup the same way: the same
-events, the tree's tolerant open-element stack, and the first match in
-document order wherever a marker is looked up.
+Every page kind is read by ``htmldoc.parse_html`` into one flat element
+list, and each reader is a loop over it: wherever a marker is looked up
+inside an element, the first match in document order among the elements
+inside it counts.
 
 Relative links resolve against the page's ``<base href>``, falling back to
 the ``base_url`` keyword; a venue link's ``event-desc`` is the first one
@@ -83,6 +81,15 @@ class ParseReport:
     source_url: str
 
 
+# Each page kind's marker class, in the order ``classify_page`` tries them.
+_PAGE_MARKERS = (
+    ("venue-index", PageKind.INDEX),
+    ("venue-page", PageKind.VENUE),
+    ("proceedings-page", PageKind.PROCEEDINGS),
+    ("paper-detail", PageKind.PAPER),
+)
+
+
 def classify_page(html: str, source_url: str = "") -> PageKind:
     """Classify a page by its structural markers.
 
@@ -92,15 +99,10 @@ def classify_page(html: str, source_url: str = "") -> PageKind:
     """
     if not html or not html.strip():
         raise EmptyInput("page body is empty")
-    root = htmldoc.parse_html(html)
-    if root.find(cls="venue-index") is not None:
-        return PageKind.INDEX
-    if root.find(cls="venue-page") is not None:
-        return PageKind.VENUE
-    if root.find(cls="proceedings-page") is not None:
-        return PageKind.PROCEEDINGS
-    if root.find(cls="paper-detail") is not None:
-        return PageKind.PAPER
+    page = htmldoc.parse_html(html)
+    for marker, kind in _PAGE_MARKERS:
+        if page.find(marker) is not None:
+            return kind
     raise UnrecognizedPage(f"no marker set matches {source_url or '<page>'}")
 
 
@@ -127,6 +129,14 @@ def _resolve(base: str | None, href: str) -> str:
     return _join(base, href)[0]
 
 
+def _base(page: htmldoc.Page, base_url: str | None) -> str | None:
+    """The href of the page's first ``<base>``, else ``base_url``."""
+    for element in page.elements:
+        if element.tag == "base":
+            return element.get("href") or base_url
+    return base_url
+
+
 def parse_index(html: str, *, base_url: str | None = None
                 ) -> list[tuple[Category, str, str]]:
     """Extract (category, venue_name, venue_url) tuples from the site index.
@@ -137,22 +147,25 @@ def parse_index(html: str, *, base_url: str | None = None
     Raises:
         StructureError: if neither category section is found.
     """
-    root = htmldoc.parse_html(html)
-    sections = root.find_all(cls="venue-index")
+    page = htmldoc.parse_html(html)
+    sections = [element for element in page.elements
+                if "venue-index" in element.classes]
     if not sections:
         raise StructureError("index page has no category sections")
-    base = htmldoc.base_href(root) or base_url
+    base = _base(page, base_url)
     out: list[tuple[Category, str, str]] = []
     seen: set[str] = set()
     for section in sections:
-        token = section.attrs.get("data-category", "")
+        token = section.get("data-category") or ""
         category = _CATEGORY_TOKENS.get(token)
         if category is None:
             logger.warning("skipping category section with unknown token %r", token)
             continue
-        for anchor in section.find_all(tag="a", cls="venue-link"):
-            href = anchor.attrs.get("href")
-            name = anchor.text()
+        for anchor in page.inside(section):
+            if anchor.tag != "a" or "venue-link" not in anchor.classes:
+                continue
+            href = anchor.get("href")
+            name = page.text(anchor)
             if not href or not name:
                 logger.warning("skipping venue link without href or name")
                 continue
@@ -175,29 +188,29 @@ def parse_venue_page(html: str, category: Category, venue_key: str, *,
     Raises:
         StructureError: if no year-grouped proceedings links are found.
     """
-    root = htmldoc.parse_html(html)
-    section = root.find(cls="venue-page")
-    base = htmldoc.base_href(root) or base_url
+    page = htmldoc.parse_html(html)
+    section = page.find("venue-page")
+    base = _base(page, base_url)
     records: list[ConferenceRecord] = []
     seen_years: set[int] = set()
-    # The parent of the last proceedings link walked, and the index of its
-    # record while that record may still take a desc: the first event-desc
-    # after a link among its parent's children, before the parent's next
-    # proceedings link, is that link's alone.
-    link_parent: htmldoc.Node | None = None
+    # The parent position of the last proceedings link walked, and the
+    # index of its record while that record may still take a desc: the
+    # first event-desc after a link among its parent's children, before
+    # the parent's next proceedings link, is that link's alone.
+    link_parent: int | None = None
     claimant: int | None = None
     if section is not None:
         year: int | None = None
-        for parent, node in section.walk():
-            if node.has_class("year-heading"):
-                text = node.text()
+        for node in page.inside(section):
+            if "year-heading" in node.classes:
+                text = page.text(node)
                 try:
                     year = int(text)
                 except ValueError:
                     logger.warning("skipping non-numeric year heading %r", text)
                     year = None
-            elif node.tag == "a" and node.has_class("proceedings-link"):
-                link_parent, claimant = parent, None
+            elif node.tag == "a" and "proceedings-link" in node.classes:
+                link_parent, claimant = node.parent, None
                 if year is None:
                     logger.warning("skipping proceedings link outside a year group")
                     continue
@@ -205,28 +218,28 @@ def parse_venue_page(html: str, category: Category, venue_key: str, *,
                     logger.warning("dropping duplicate proceedings link for %s-%s",
                                    venue_key, year)
                     continue
-                href = node.attrs.get("href")
+                href = node.get("href")
                 if not href:
                     continue
                 seen_years.add(year)
                 # A link placed directly in the section gets no desc: the
                 # section holds every year's links, so a desc there is not
                 # this link's own.
-                if parent is not section:
+                if node.parent != section.pos:
                     claimant = len(records)
                 records.append(ConferenceRecord(
                     conf_id=make_conf_id(venue_key, year),
                     venue_key=venue_key,
                     year=year,
-                    title=node.text(),
+                    title=page.text(node),
                     url=_resolve(base, href),
                     category=category,
                     crawl_log=CrawlLog(),
                 ))
-            elif node.has_class("event-desc") and parent is link_parent:
+            elif "event-desc" in node.classes and node.parent == link_parent:
                 if claimant is not None:
                     records[claimant] = replace(records[claimant],
-                                                desc=node.text() or None)
+                                                desc=page.text(node) or None)
                 link_parent = claimant = None
     if not records:
         raise StructureError(f"venue page for {venue_key!r} has no year-grouped links")
@@ -242,130 +255,34 @@ def _id_from_path(path: str) -> str:
     return posixpath.basename(path.rstrip("/"))
 
 
-# (entry key, marker class, anchors only) for the fields of a paper entry.
-_ENTRY_FIELDS = (
-    ("title", "paper-title", True),
-    ("authors", "paper-authors", False),
-    ("abstract", "paper-abstract", False),
-    ("pdf", "pdf-link", True),
-    ("bibkey", "bibkey", False),
-)
+# Each entry field's marker class, and whether only an anchor counts.
+_FIELD_MARKERS = {
+    "paper-title": True,
+    "paper-authors": False,
+    "paper-abstract": False,
+    "pdf-link": True,
+    "bibkey": False,
+}
 
 
-class _Marked:
-    """What the pass keeps of one marked element: its href, the text data
-    inside it, and, for an author span, the anchors inside it."""
-
-    __slots__ = ("href", "parts", "anchors")
-
-    def __init__(self, href: str | None):
-        self.href = href
-        self.parts: list[str] = []
-        self.anchors: list[_Marked] = []
-
-    def text(self) -> str:
-        """Concatenated descendant text with whitespace collapsed."""
-        return " ".join("".join(self.parts).split())
+def _fields(page: htmldoc.Page, entry: htmldoc.Element) -> dict[str, htmldoc.Element]:
+    """The first element inside ``entry`` of each field marker, by marker."""
+    fields: dict[str, htmldoc.Element] = {}
+    for element in page.inside(entry):
+        for cls in element.classes:
+            anchors_only = _FIELD_MARKERS.get(cls)
+            if (anchors_only is not None and cls not in fields
+                    and (element.tag == "a" or not anchors_only)):
+                fields[cls] = element
+    return fields
 
 
-class _ProceedingsPass(htmldoc.NestingParser):
-    """One pass over a proceedings page, keeping only the marked elements.
-
-    Elements nest as in the ``htmldoc`` tree.  An element is a descendant
-    of every element open when it starts, so the first match of a marker
-    inside an element is the first one to start while that element is
-    open, as ``Node.find`` gives it.  Hrefs are kept raw: a ``<base>`` may
-    come after the links it applies to.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.base_seen = False
-        self.base: str | None = None    # href of the first <base>
-        self.container_seen = False     # the first paper-list
-        self.entries: list[dict[str, _Marked]] = []  # every entry inside it
-        self.nav_seen = False           # the first pagination element
-        self.nav_hrefs: list[str] = []  # hrefs of the anchors inside it
-        # One (depth, list) per open marked element, by depth: closing
-        # depth d and deeper pops these and the lists' tails.
-        self._marks: list[tuple[int, list]] = []
-        self._texts: list[list[str]] = []
-        self._entries: list[dict[str, _Marked]] = []
-        self._spans: list[_Marked] = []
-        self._in_container: list[bool] = []
-        self._in_nav: list[bool] = []
-
-    def _open(self, stack: list, item, depth: int) -> None:
-        stack.append(item)
-        self._marks.append((depth, stack))
-
-    def on_start(self, tag: str, attrs, depth: int, opened: bool) -> None:
-        cls = href = None
-        for name, value in attrs:  # the last duplicate wins, as in a dict
-            if name == "class":
-                cls = value
-            elif name == "href":
-                href = value or ""
-        # Descendant checks come first: an element is not its own descendant.
-        if tag == "a":
-            if self._spans:
-                anchor = _Marked(href)
-                for span in self._spans:
-                    span.anchors.append(anchor)
-                if opened:
-                    self._open(self._texts, anchor.parts, depth)
-            if self._in_nav and href:
-                self.nav_hrefs.append(href)
-        elif tag == "base" and not self.base_seen:
-            self.base_seen = True
-            self.base = href or None
-        if not cls:
-            return
-        classes = cls.split()
-        if self._entries:
-            marked = None
-            is_span = False
-            for key, marker, anchors_only in _ENTRY_FIELDS:
-                if marker not in classes or (anchors_only and tag != "a"):
-                    continue
-                for entry in self._entries:
-                    if key not in entry:
-                        marked = marked or _Marked(href)
-                        entry[key] = marked
-                        is_span = is_span or key == "authors"
-            if marked is not None and opened:
-                self._open(self._texts, marked.parts, depth)
-                if is_span:
-                    self._open(self._spans, marked, depth)
-        if "paper-entry" in classes and self._in_container:
-            entry: dict[str, _Marked] = {}
-            self.entries.append(entry)
-            if opened:
-                self._open(self._entries, entry, depth)
-        if "paper-list" in classes and not self.container_seen:
-            self.container_seen = True
-            if opened:
-                self._open(self._in_container, True, depth)
-        if "pagination" in classes and not self.nav_seen:
-            self.nav_seen = True
-            if opened:
-                self._open(self._in_nav, True, depth)
-
-    def on_close(self, depth: int) -> None:
-        marks = self._marks
-        while marks and marks[-1][0] >= depth:
-            marks.pop()[1].pop()
-
-    def handle_data(self, data: str) -> None:
-        for parts in self._texts:
-            parts.append(data)
-
-
-def _split_authors(span: _Marked) -> list[str]:
-    if span.anchors:
-        names = [a.text() for a in span.anchors]
+def _split_authors(page: htmldoc.Page, span: htmldoc.Element) -> list[str]:
+    anchors = [element for element in page.inside(span) if element.tag == "a"]
+    if anchors:
+        names = [page.text(anchor) for anchor in anchors]
         return [name for name in names if name]
-    text = span.text()
+    text = page.text(span)
     if not text:
         return []
     return [part.strip() for part in _AUTHOR_SPLIT_RE.split(text) if part.strip()]
@@ -385,23 +302,27 @@ def parse_proceedings(html: str, conference: ConferenceRecord, *,
     Raises:
         StructureError: if the paper-list container is absent.
     """
-    page = _ProceedingsPass.read(html)
-    if not page.container_seen:
+    page = htmldoc.parse_html(html)
+    container = page.find("paper-list")
+    if container is None:
         raise StructureError(f"no paper-list container on {conference.conf_id}")
-    base = page.base or base_url
+    base = _base(page, base_url)
 
     warnings: list[str] = []
     papers: list[PaperRecord] = []
     landing_links: list[str] = []
     seen_ids: set[str] = set()
 
-    for position, entry in enumerate(page.entries, start=1):
-        title_anchor = entry.get("title")
-        title = title_anchor.text() if title_anchor is not None else ""
+    entries = [element for element in page.inside(container)
+               if "paper-entry" in element.classes]
+    for position, entry in enumerate(entries, start=1):
+        fields = _fields(page, entry)
+        title_anchor = fields.get("paper-title")
+        title = page.text(title_anchor) if title_anchor is not None else ""
         if not title:
             warnings.append(f"entry {position}: no title, skipped")
             continue
-        href = title_anchor.href
+        href = title_anchor.get("href")
         if not href:
             warnings.append(f"entry {position}: title anchor has no href, skipped")
             continue
@@ -415,28 +336,27 @@ def parse_proceedings(html: str, conference: ConferenceRecord, *,
             warnings.append(f"entry {position}: duplicate id {anthology_id}, skipped")
             continue
 
-        author_span = entry.get("authors")
+        author_span = fields.get("paper-authors")
         authors = []
         if author_span is not None:
-            for name in _split_authors(author_span):
+            for name in _split_authors(page, author_span):
                 try:
                     authors.append(normalize_author(name))
                 except EmptyInput:
                     continue
 
-        abstract_node = entry.get("abstract")
-        abstract = abstract_node.text() if abstract_node is not None else None
+        abstract_node = fields.get("paper-abstract")
+        abstract = page.text(abstract_node) if abstract_node is not None else None
         if abstract == "":
             abstract = None
             warnings.append(f"entry {position}: empty abstract block")
 
-        pdf_anchor = entry.get("pdf")
-        pdf_url = None
-        if pdf_anchor is not None and pdf_anchor.href:
-            pdf_url = _resolve(base, pdf_anchor.href)
+        pdf_anchor = fields.get("pdf-link")
+        pdf_href = pdf_anchor.get("href") if pdf_anchor is not None else None
+        pdf_url = _resolve(base, pdf_href) if pdf_href else None
 
-        bibkey_node = entry.get("bibkey")
-        bibkey = bibkey_node.text() if bibkey_node is not None else None
+        bibkey_node = fields.get("bibkey")
+        bibkey = page.text(bibkey_node) if bibkey_node is not None else None
 
         seen_ids.add(anthology_id)
         landing_links.append(page_url)
@@ -452,10 +372,13 @@ def parse_proceedings(html: str, conference: ConferenceRecord, *,
             bibkey=bibkey or None,
         ))
 
+    nav = page.find("pagination")
+    nav_hrefs = [] if nav is None else [
+        element.get("href") for element in page.inside(nav) if element.tag == "a"]
     content = ConContent(
         conference=conference,
         paper_page_links=tuple(landing_links),
-        next_page_links=tuple(_resolve(base, href) for href in page.nav_hrefs),
+        next_page_links=tuple(_resolve(base, href) for href in nav_hrefs if href),
     )
     report = ParseReport(
         records_extracted=len(papers),

@@ -5,26 +5,44 @@
   record->row mapping, its own LIKE matcher, its own three-valued
   comparison handling, and its own ordering/pagination.  Tests compare
   execute() output against this engine exactly.
-* ``parse_proceedings`` as extraction over an ``htmldoc`` tree: the page is
-  built into a Node tree from html.parser's own events (never ``scan``'s),
-  then each field is the first match of a ``find`` walk, and every link is
-  resolved by ``urljoin``.  Tests compare the single-pass
-  ``parser.parse_proceedings`` against it on generated and fixture pages.
+* A DOM tree of ``Node`` objects built from html.parser's own events
+  (never ``htmldoc.scan``'s) by the tolerant nesting rules: a void or
+  self-closing tag never opens, an end tag closes back to the nearest open
+  element of its name, a stray end tag is ignored.  Tests compare
+  ``htmldoc.parse_html``'s flat ``Page`` against it (``flatten``).
+* Every page reader as extraction over that tree: each marker is the first
+  match of a ``find`` walk, and every link is resolved by ``urljoin``.
+  Tests compare ``parse_proceedings``, ``parse_index``,
+  ``parse_venue_page`` and ``classify_page`` against them on generated and
+  fixture pages.
 """
 from __future__ import annotations
 
 import json
+import logging
+from dataclasses import replace
+from html.parser import HTMLParser
+from typing import Iterator
 from urllib.parse import urljoin
 
-from anthology_harvest import htmldoc
-from anthology_harvest.errors import EmptyInput, StructureError
+from anthology_harvest.errors import EmptyInput, StructureError, UnrecognizedPage
+from anthology_harvest.htmldoc import VOID_TAGS
 from anthology_harvest.model import (
+    Category,
     ConContent,
     ConferenceRecord,
+    CrawlLog,
     PaperRecord,
+    make_conf_id,
     normalize_author,
 )
-from anthology_harvest.parser import _AUTHOR_SPLIT_RE, ParseReport, anthology_id_from_url
+from anthology_harvest.parser import (
+    _AUTHOR_SPLIT_RE,
+    _CATEGORY_TOKENS,
+    PageKind,
+    ParseReport,
+    anthology_id_from_url,
+)
 from anthology_harvest.query import Condition, ConditionGroup, QueryAst
 
 PK = {"paper": "anthology_id", "conference": "conf_id"}
@@ -236,15 +254,251 @@ def eval_ast(rows: list[dict], ast: QueryAst):
     return _paginate(projected, ast)
 
 
-# -- proceedings pages over a Node tree --------------------------------------
+# -- the DOM tree ------------------------------------------------------------------
 
 
-def _resolve(root: htmldoc.Node, href: str, base_url: str | None) -> str:
-    base = htmldoc.base_href(root) or base_url
+class Node:
+    __slots__ = ("tag", "attrs", "children")
+
+    def __init__(self, tag: str, attrs: dict[str, str] | None = None):
+        self.tag = tag
+        self.attrs: dict[str, str] = attrs or {}
+        self.children: list[Node | str] = []
+
+    def classes(self) -> list[str]:
+        return (self.attrs.get("class") or "").split()
+
+    def has_class(self, name: str) -> bool:
+        return name in self.classes()
+
+    def walk(self) -> Iterator[tuple["Node", "Node"]]:
+        """Depth-first iteration over (parent, element) pairs, document order.
+
+        An explicit stack of child iterators keeps any nesting depth within
+        the interpreter's recursion limit.
+        """
+        stack = [(self, iter(self.children))]
+        while stack:
+            parent, children = stack[-1]
+            for child in children:
+                if isinstance(child, Node):
+                    yield parent, child
+                    stack.append((child, iter(child.children)))
+                    break
+            else:
+                stack.pop()
+
+    def find_all(self, tag: str | None = None, cls: str | None = None) -> list["Node"]:
+        return [node for _, node in self.walk()
+                if (tag is None or node.tag == tag)
+                and (cls is None or node.has_class(cls))]
+
+    def find(self, tag: str | None = None, cls: str | None = None) -> "Node | None":
+        for _, node in self.walk():
+            if (tag is None or node.tag == tag) and (cls is None or node.has_class(cls)):
+                return node
+        return None
+
+    def raw_text(self) -> str:
+        """Concatenated descendant text as the tokenizer gave it."""
+        parts: list[str] = []
+        stack = [iter(self.children)]
+        while stack:
+            for child in stack[-1]:
+                if isinstance(child, str):
+                    parts.append(child)
+                else:
+                    stack.append(iter(child.children))
+                    break
+            else:
+                stack.pop()
+        return "".join(parts)
+
+    def text(self) -> str:
+        """Concatenated descendant text with whitespace collapsed."""
+        return " ".join(self.raw_text().split())
+
+
+class _TreeBuilder(HTMLParser):
+    def __init__(self) -> None:
+        super().__init__(convert_charrefs=True)
+        self.root = Node("#document")
+        self._stack = [self.root]
+
+    def handle_starttag(self, tag: str, attrs) -> None:
+        node = Node(tag, {k: (v if v is not None else "") for k, v in attrs})
+        self._stack[-1].children.append(node)
+        if tag not in VOID_TAGS:
+            self._stack.append(node)
+
+    def handle_startendtag(self, tag: str, attrs) -> None:
+        node = Node(tag, {k: (v if v is not None else "") for k, v in attrs})
+        self._stack[-1].children.append(node)
+
+    def handle_endtag(self, tag: str) -> None:
+        for depth in range(len(self._stack) - 1, 0, -1):
+            if self._stack[depth].tag == tag:
+                del self._stack[depth:]
+                return
+
+    def handle_data(self, data: str) -> None:
+        if data:
+            self._stack[-1].children.append(data)
+
+
+def parse_tree(html: str) -> Node:
+    """``html`` read by html.parser into a Node tree under a document node."""
+    builder = _TreeBuilder()
+    builder.feed(html)
+    builder.close()
+    return builder.root
+
+
+def base_href(root: Node) -> str | None:
+    """The document's ``<base href>`` target, if declared."""
+    base = root.find(tag="base")
+    if base is None:
+        return None
+    return base.attrs.get("href") or None
+
+
+def flatten(root: Node) -> list[tuple]:
+    """Each element in document order as (tag, attributes, parent position,
+    position of its last descendant, text length before it, raw text),
+    the parent of a top-level element being -1; then the whole text."""
+    out: list[list] = []
+    position = {id(root): -1}
+    before = 0
+    stack = [iter(root.children)]
+    owners = [root]
+    while stack:
+        for child in stack[-1]:
+            if isinstance(child, str):
+                before += len(child)
+                continue
+            position[id(child)] = len(out)
+            out.append([child.tag, child.attrs, position[id(owners[-1])], None, before,
+                        child.raw_text()])
+            stack.append(iter(child.children))
+            owners.append(child)
+            break
+        else:
+            stack.pop()
+            done = owners.pop()
+            if done is not root:
+                out[position[id(done)]][3] = len(out) - 1
+    return [tuple(row) for row in out] + [root.raw_text()]
+
+
+# -- page readers over the tree ------------------------------------------------------
+
+logger = logging.getLogger("_oracle")
+
+
+def _resolve(root: Node, href: str, base_url: str | None) -> str:
+    base = base_href(root) or base_url
     return urljoin(base, href) if base else href
 
 
-def _split_authors(span: htmldoc.Node) -> list[str]:
+def classify_page(html: str, source_url: str = "") -> PageKind:
+    if not html or not html.strip():
+        raise EmptyInput("page body is empty")
+    root = parse_tree(html)
+    if root.find(cls="venue-index") is not None:
+        return PageKind.INDEX
+    if root.find(cls="venue-page") is not None:
+        return PageKind.VENUE
+    if root.find(cls="proceedings-page") is not None:
+        return PageKind.PROCEEDINGS
+    if root.find(cls="paper-detail") is not None:
+        return PageKind.PAPER
+    raise UnrecognizedPage(f"no marker set matches {source_url or '<page>'}")
+
+
+def parse_index(html: str, *, base_url: str | None = None
+                ) -> list[tuple[Category, str, str]]:
+    root = parse_tree(html)
+    sections = root.find_all(cls="venue-index")
+    if not sections:
+        raise StructureError("index page has no category sections")
+    out: list[tuple[Category, str, str]] = []
+    seen: set[str] = set()
+    for section in sections:
+        token = section.attrs.get("data-category", "")
+        category = _CATEGORY_TOKENS.get(token)
+        if category is None:
+            logger.warning("skipping category section with unknown token %r", token)
+            continue
+        for anchor in section.find_all(tag="a", cls="venue-link"):
+            href = anchor.attrs.get("href")
+            name = anchor.text()
+            if not href or not name:
+                logger.warning("skipping venue link without href or name")
+                continue
+            url = _resolve(root, href, base_url)
+            if url in seen:
+                logger.warning("dropping duplicate venue link %s", url)
+                continue
+            seen.add(url)
+            out.append((category, name, url))
+    return out
+
+
+def parse_venue_page(html: str, category: Category, venue_key: str, *,
+                     base_url: str | None = None) -> list[ConferenceRecord]:
+    root = parse_tree(html)
+    section = root.find(cls="venue-page")
+    records: list[ConferenceRecord] = []
+    seen_years: set[int] = set()
+    # The first event-desc after a proceedings link among the link's
+    # parent's children, before that parent's next link, is the link's own.
+    link_parent: Node | None = None
+    claimant: int | None = None
+    if section is not None:
+        year: int | None = None
+        for parent, node in section.walk():
+            if node.has_class("year-heading"):
+                text = node.text()
+                try:
+                    year = int(text)
+                except ValueError:
+                    logger.warning("skipping non-numeric year heading %r", text)
+                    year = None
+            elif node.tag == "a" and node.has_class("proceedings-link"):
+                link_parent, claimant = parent, None
+                if year is None:
+                    logger.warning("skipping proceedings link outside a year group")
+                    continue
+                if year in seen_years:
+                    logger.warning("dropping duplicate proceedings link for %s-%s",
+                                   venue_key, year)
+                    continue
+                href = node.attrs.get("href")
+                if not href:
+                    continue
+                seen_years.add(year)
+                if parent is not section:
+                    claimant = len(records)
+                records.append(ConferenceRecord(
+                    conf_id=make_conf_id(venue_key, year),
+                    venue_key=venue_key,
+                    year=year,
+                    title=node.text(),
+                    url=_resolve(root, href, base_url),
+                    category=category,
+                    crawl_log=CrawlLog(),
+                ))
+            elif node.has_class("event-desc") and parent is link_parent:
+                if claimant is not None:
+                    records[claimant] = replace(records[claimant],
+                                                desc=node.text() or None)
+                link_parent = claimant = None
+    if not records:
+        raise StructureError(f"venue page for {venue_key!r} has no year-grouped links")
+    return records
+
+
+def _split_authors(span: Node) -> list[str]:
     linked = span.find_all(tag="a")
     if linked:
         return [a.text() for a in linked if a.text()]
@@ -268,10 +522,7 @@ def parse_proceedings(html: str, conference: ConferenceRecord, *,
     Raises:
         StructureError: if the paper-list container is absent.
     """
-    builder = htmldoc._TreeBuilder()
-    builder.feed(html)
-    builder.close()
-    root = builder.root
+    root = parse_tree(html)
     container = root.find(cls="paper-list")
     if container is None:
         raise StructureError(f"no paper-list container on {conference.conf_id}")

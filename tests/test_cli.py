@@ -1,10 +1,13 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 from anthology_harvest.cli import main
+from anthology_harvest.config import CrawlDefaults, load_config
+from anthology_harvest.store import StoreConfig
 from conftest import FIXTURES, copy_without_base
 
 
@@ -239,3 +242,56 @@ class TestConfigFile:
 
     def test_missing_explicit_config_exit_one(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "none.toml"), "stats", "--by", "year"]) == 1
+
+    def test_readme_settings_example_loads(self, tmp_path):
+        """The README's example file reads as it always has."""
+        readme = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
+        example = readme.split("### Settings file", 1)[1].split("```toml\n", 1)[1]
+        cfg = tmp_path / "anthology.toml"
+        cfg.write_text(example.split("```", 1)[0], encoding="utf-8")
+        loaded = load_config(cfg, env={})
+        assert loaded.store == StoreConfig(database_name="aclanthology", location=".")
+        assert loaded.crawl == CrawlDefaults(
+            venues=("acl", "emnlp"), year_start=2021, year_end=2023, workers=8,
+            max_attempts=3, base_backoff_ms=500, timeout_ms=15000, min_interval_ms=250,
+            source="fixture:fixtures", index_url="https://aclanthology.org/")
+        assert loaded.fixture_root == Path("fixtures")
+
+    @pytest.mark.parametrize("text, section, key, value", [
+        ('[store]\nlocation = "x #2"\n', "store", "location", "x #2"),
+        ('[crawl]\nvenues = ["a,b"]\n', "crawl", "venues", ("a,b",)),
+    ], ids=["comment-sign-in-string", "comma-in-array-item"])
+    def test_toml_strings_read_whole(self, tmp_path, text, section, key, value):
+        cfg = tmp_path / "anthology.toml"
+        cfg.write_text(text, encoding="utf-8")
+        assert getattr(getattr(load_config(cfg, env={}), section), key) == value
+
+    @pytest.mark.parametrize("text, message", [
+        ("[crawl]\nworkers = 007\n", "anthology.toml"),
+        ("[crawl]\nworkers = 2\nworkers = 3\n", "anthology.toml"),
+        ('[crawl]\nworkers = "8"\n', "crawl.workers must be an integer"),
+        ('[crawl]\nvenues = "acl"\n', "crawl.venues must be an array of strings"),
+        ("[crawl]\nworkers = true\n", "crawl.workers must be an integer"),
+        ('[store]\ndatabase_name = ""\n', "store.database_name must be non-empty"),
+    ], ids=["leading-zero", "duplicate-key", "string-workers", "string-venues",
+            "bool-workers", "empty-database-name"])
+    def test_bad_settings_exit_one(self, db_env, tmp_path, capsys, text, message):
+        cfg = tmp_path / "anthology.toml"
+        cfg.write_text(text, encoding="utf-8")
+        code = main(["--config", str(cfg), "harvest", "--source", f"fixture:{FIXTURES}"])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, argv, message", [
+        ("[crawl]\nmin_interval_ms = -5\n", [], "min_interval_ms must be >= 0"),
+        ("", ["--workers", "-1"], "workers must be >= 1"),
+        ("", ["--workers", "0"], "workers must be >= 1"),
+    ], ids=["negative-interval", "negative-workers", "zero-workers"])
+    def test_bad_crawl_settings_are_usage_errors(self, db_env, tmp_path, capsys,
+                                                 text, argv, message):
+        cfg = tmp_path / "anthology.toml"
+        cfg.write_text(text, encoding="utf-8")
+        code = main(["--config", str(cfg), "harvest", "--source", f"fixture:{FIXTURES}",
+                     *argv])
+        assert code == 1
+        assert f"usage error: {message}" in capsys.readouterr().err

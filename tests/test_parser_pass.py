@@ -1,9 +1,9 @@
-"""Single-pass page extraction.
+"""Proceedings extraction over the flat page.
 
-``parse_proceedings`` reads a page in one pass over html.parser events; it
-must give exactly what the tree-based reference in ``_oracle`` gives: the
-same papers, links, report, or the same exception.  Venue pages take each
-link's description from the link's own parent.
+``parse_proceedings`` reads a page from ``htmldoc.parse_html``'s flat
+element list; it must give exactly what the tree-based reference in
+``_oracle`` gives: the same papers, links, report, or the same exception.
+Venue pages take each link's description from the link's own parent.
 """
 import html as html_mod
 

@@ -12,11 +12,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from anthology_harvest import htmldoc
 from anthology_harvest.model import is_absolute_url
 from anthology_harvest.parser import _id_from_path, _join, anthology_id_from_url
 from conftest import FIXTURES
 from scan_equivalence import check, generate_corpora, reference_events, scanned_events
+from test_page_reader import assert_same_structure
 from test_parser_pass import pages
 
 
@@ -101,16 +101,8 @@ def test_a_declined_page_is_read_again_from_scratch():
     # Declined at the very end, after every other event was handed out.
     page = ('<div class="a"><p>one &amp; two</p><br/><a href="/x">x</a></div>'
             "<script>var s = '<b>';</script>")
-    builder = htmldoc._TreeBuilder()
-    builder.feed(page)
-    builder.close()
     assert scanned_events(page) is None
-    assert _dump(htmldoc.parse_html(page)) == _dump(builder.root)
-
-
-def _dump(node):
-    return (node.tag, node.attrs,
-            [c if isinstance(c, str) else _dump(c) for c in node.children])
+    assert_same_structure(page)
 
 
 # -- no decline on real pages ---------------------------------------------------------
