@@ -1,9 +1,9 @@
 """Settings file loading and layered overrides.
 
-The settings file is TOML, read by ``tomllib``; only the keys of
-``_KEY_TYPES`` are read, each checked for its type.  CLI flags override
-file values, and the ``AAH_DB`` environment variable overrides the store
-location.
+The settings file is TOML, read by ``tomllib``; it may hold only the
+sections and keys of ``_KEY_TYPES``, each key checked for its type.  CLI
+flags override file values, and the ``AAH_DB`` environment variable
+overrides the store location.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ _KEY_TYPES = {
     "store": {"database_name": str, "location": str},
     "crawl": {"venues": list, "year_start": int, "year_end": int, "workers": int,
               "max_attempts": int, "base_backoff_ms": int, "timeout_ms": int,
-              "min_interval_ms": int, "source": str, "index_url": str},
+              "min_interval_ms": int, "source": str},
     "paths": {"fixture_root": str},
 }
 _TYPE_NAMES = {str: "a string", int: "an integer", list: "an array of strings"}
@@ -34,20 +34,21 @@ class ConfigError(ValueError):
 
 
 def _section(data: dict, name: str) -> dict:
-    """The known keys of the ``[name]`` table of ``data``, each checked for
+    """The ``[name]`` table of ``data``, each key checked to be known and of
     its type."""
     table = data.get(name, {})
     if not isinstance(table, dict):
         raise ConfigError(f"{name} must be a table")
-    known = {key: table[key] for key in _KEY_TYPES[name] if key in table}
-    for key, value in known.items():
+    for key, value in table.items():
+        if key not in _KEY_TYPES[name]:
+            raise ConfigError(f"unknown setting {name}.{key}")
         kind = _KEY_TYPES[name][key]
         # bool is an int subclass, but `workers = true` is not a count.
         valid = (isinstance(value, kind) and not isinstance(value, bool)
                  and (kind is not list or all(isinstance(item, str) for item in value)))
         if not valid:
             raise ConfigError(f"{name}.{key} must be {_TYPE_NAMES[kind]}, got {value!r}")
-    return known
+    return dict(table)
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,6 @@ class CrawlDefaults:
     timeout_ms: int = 15000
     min_interval_ms: int = 250
     source: str = "live"
-    index_url: str = "https://aclanthology.org/"
 
     def policy(self) -> FetchPolicy:
         return FetchPolicy(
@@ -93,6 +93,10 @@ def load_config(path: Path | None = None, env: dict[str, str] | None = None
             raise ConfigError(f"{target}: {exc}") from None
     elif path is not None:
         raise ConfigError(f"config file {path} not found")
+    for name, table in data.items():
+        if name not in _KEY_TYPES:
+            raise ConfigError(f"unknown section [{name}]" if isinstance(table, dict)
+                              else f"unknown setting {name}")
 
     store = _section(data, "store")
     if env.get(ENV_DB):

@@ -221,6 +221,8 @@ class Builder:
         self._require_table()
         if not columns:
             raise InvalidChain("group() needs at least one column")
+        if len(set(columns)) < len(columns):
+            raise InvalidChain("group() columns must be distinct")
         for c in columns:
             self._check_column(c)
         return replace(self, _group_by=tuple(columns))
@@ -483,7 +485,7 @@ def execute(h: Store, ast: QueryAst):
     if ast.aggregate is not None and ast.group_by is None:
         return h.execute_scalar(sql, params)
     if ast.group_by is not None:
-        return h.execute_tuples(sql, params)
+        return [tuple(row.values()) for row in h.execute_sql(sql, params)]
     return h.execute_sql(sql, params)
 
 

@@ -1,14 +1,14 @@
 """Crawl orchestration: planning, a bounded worker pool, synchronized
 persistence, and progress monitoring.
 
-A run discovers the venue index, parses the venue pages it needs, plans one
-task per conference (proceedings page), and executes the tasks on a pool of
-worker threads.  Each task is fetch -> parse -> persist; pagination links
-discovered on a proceedings page are followed within the same task.  The
-workers share only the task queue, the fetcher's rate gate and connection
-pool, and the store's serialized write path; everything else they touch is
-immutable.  The pool keeps at most one idle connection per worker and
-origin, and is closed when the run ends.
+A run fetches the venue index, then the venue pages it needs on a pool of
+worker threads, plans one task per conference (proceedings page), and
+executes the tasks on the same pool.  Each task is fetch -> parse -> persist;
+pagination links found on a proceedings page are followed within the task.
+The workers share only the fetcher's rate gate and connection pool, the
+request count, and the store's serialized write path; everything else they
+touch is immutable.  The connection pool keeps at most one idle connection
+per worker and origin, and is closed once the workers have stopped.
 
 All writes for one task go to the store as a single atomic batch, so the
 persisted record set is independent of the worker count.  A permanently
@@ -29,10 +29,10 @@ import functools
 import hashlib
 import json
 import logging
-import queue
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -81,6 +81,7 @@ class CrawlReport:
     per_conference: dict[str, CrawlLog]
     wall_ms: int
     tasks_unchanged: int = 0  # succeeded without a parse: every page digest matched
+    requests: int = 0  # every request attempt of the crawl, discovery included
 
     def to_json(self) -> str:
         return json.dumps({
@@ -89,6 +90,7 @@ class CrawlReport:
             "tasks_failed": self.tasks_failed,
             "tasks_unchanged": self.tasks_unchanged,
             "papers_stored": self.papers_stored,
+            "requests": self.requests,
             "wall_ms": self.wall_ms,
             "per_conference": {
                 conf_id: {
@@ -177,14 +179,13 @@ class CrawlSession:
         self.handle = handle
         self._gate = RateGate(config.policy.min_interval_ms)
         self._pool = ConnectionPool(config.workers)
+        self._executor = ThreadPoolExecutor(config.workers, thread_name_prefix="crawl")
         self._lock = threading.Lock()
-        self._queue: queue.Queue[ConferenceRecord] = queue.Queue()
         self._cancel = threading.Event()
-        self._prepared = False
-        self._total = 0
+        self._plan: list[ConferenceRecord] | None = None
+        self._requests = 0
         self._succeeded = 0
         self._failed = 0
-        self._in_flight = 0
         self._unchanged = 0
         self._papers_stored = 0
         self._per_conference: dict[str, CrawlLog] = {}
@@ -195,49 +196,58 @@ class CrawlSession:
     def snapshot(self) -> tuple[int, int, int]:
         """(done, total, failed); done counts successfully stored tasks."""
         with self._lock:
-            return self._succeeded, self._total, self._failed
+            return self._succeeded, len(self._plan or ()), self._failed
 
     def cancel(self) -> None:
-        """Ask workers to drain: queued tasks finish as failed('cancelled')."""
+        """Ask workers to drain: tasks not yet started finish as failed('cancelled')."""
         self._cancel.set()
 
-    # -- discovery -----------------------------------------------------------
+    # -- fetching and discovery ----------------------------------------------
+
+    def _fetch(self, url: str, pages: _Pages | None = None) -> bytes:
+        """Fetch one page of the crawl; its attempts, a failed page's too, count
+        in the report's requests and in ``pages`` when given."""
+        attempts = 0
+        try:
+            page = fetch(url, self.config.policy, self.config.source,
+                         gate=self._gate, pool=self._pool)
+            attempts = page.attempts_used
+            return page.body
+        except FetchError as exc:
+            attempts = exc.attempts_used
+            raise
+        finally:
+            if pages is not None:
+                pages.attempts += attempts
+            with self._lock:
+                self._requests += attempts
 
     def _discover(self) -> tuple[list, dict[str, list[ConferenceRecord]]]:
-        source = self.config.source
-        res = fetch(source.start_url, self.config.policy, source,
-                    gate=self._gate, pool=self._pool)
-        index = parser.parse_index(res.body.decode("utf-8", errors="replace"),
-                                   base_url=source.start_url)
+        """Fetch the index, then the wanted venue pages on the worker pool."""
+        start_url = self.config.source.start_url
+        index = parser.parse_index(self._fetch(start_url).decode("utf-8", errors="replace"),
+                                   base_url=start_url)
         wanted = ({canonical_venue(v) for v in self.config.venues}
                   if self.config.venues else None)
-        venue_pages: dict[str, list[ConferenceRecord]] = {}
-        for category, name, url in index:
-            venue_key = canonical_venue(name)
-            if wanted is not None and venue_key not in wanted:
-                continue
-            page = fetch(url, self.config.policy, source, gate=self._gate, pool=self._pool)
-            records = parser.parse_venue_page(
-                page.body.decode("utf-8", errors="replace"), category, venue_key,
-                base_url=url)
-            venue_pages[venue_key] = records
-        return index, venue_pages
+        links = [(category, canonical_venue(name), url) for category, name, url in index]
+        wanted_links = [link for link in links if wanted is None or link[1] in wanted]
+        return index, dict(self._executor.map(self._venue_page, wanted_links))
+
+    def _venue_page(self, link: tuple[Category, str, str]
+                    ) -> tuple[str, list[ConferenceRecord]]:
+        category, venue_key, url = link
+        body = self._fetch(url).decode("utf-8", errors="replace")
+        return venue_key, parser.parse_venue_page(body, category, venue_key, base_url=url)
 
     # -- task execution ------------------------------------------------------
 
     def _fetch_page(self, url: str, conf: ConferenceRecord, pages: _Pages) -> bytes:
         """Fetch one page of ``conf``, adding its attempts and digest to ``pages``."""
-        try:
-            page = fetch(url, self.config.policy, self.config.source,
-                         gate=self._gate, pool=self._pool)
-        except FetchError as exc:
-            pages.attempts += exc.attempts_used
-            raise
-        pages.attempts += page.attempts_used
+        body = self._fetch(url, pages)
         if pages.digests:
             pages.hop_urls.append(url)
-        pages.digests += page_digest(url, page.body, None if pages.digests else conf)
-        return page.body
+        pages.digests += page_digest(url, body, None if pages.digests else conf)
+        return body
 
     def _fetch_and_parse(self, conf: ConferenceRecord, pages: _Pages
                          ) -> list[PaperRecord] | None:
@@ -290,6 +300,10 @@ class CrawlSession:
 
     def _run_task(self, conf: ConferenceRecord) -> None:
         started = time.monotonic()
+        if self._cancel.is_set():
+            self._finish(conf, CrawlLog(status=CrawlStatus.FAILED, attempts=1,
+                                        last_error="cancelled"), started)
+            return
         pages = _Pages()
         try:
             papers = self._fetch_and_parse(conf, pages)
@@ -317,7 +331,6 @@ class CrawlSession:
                 unchanged: bool = False) -> None:
         elapsed_ms = int((time.monotonic() - started) * 1000)
         with self._lock:
-            self._in_flight -= 1
             self._per_conference[conf.conf_id] = log
             if log.status is CrawlStatus.STORED:
                 self._succeeded += 1
@@ -328,26 +341,11 @@ class CrawlSession:
         print(f"{conf.conf_id} {log.status.value} {log.paper_count or 0} {elapsed_ms}",
               file=sys.stderr)
 
-    def _worker(self) -> None:
-        while True:
-            try:
-                conf = self._queue.get_nowait()
-            except queue.Empty:
-                return
-            with self._lock:
-                self._in_flight += 1
-            if self._cancel.is_set():
-                log = CrawlLog(status=CrawlStatus.FAILED, attempts=1,
-                               last_error="cancelled")
-                self._finish(conf, log, time.monotonic())
-            else:
-                self._run_task(conf)
-            self._queue.task_done()
-
     def prepare(self) -> int:
-        """Discover, plan, and queue the tasks; returns the task count.
+        """Discover and plan the tasks; returns the task count.
 
-        Raises (and closes the session's connections):
+        Raises (after stopping the workers and closing the session's
+        connections):
             StoreUnavailable: the store cannot accept writes at all.
             EmptyPlan: nothing matched the venue/year filter.
             HarvestError: discovery failed (index or venue pages).
@@ -357,51 +355,48 @@ class CrawlSession:
             index, venue_pages = self._discover()
             plan = plan_tasks(self.config, index, venue_pages)
         except BaseException:
+            self._executor.shutdown(wait=True, cancel_futures=True)
             self._pool.close()
             raise
-        with self._lock:
-            self._total = len(plan)
-        for conf in plan:
-            self._queue.put(conf)
-        self._prepared = True
+        self._plan = plan
         return len(plan)
 
     def execute(self) -> CrawlReport:
-        """Run the prepared tasks to completion on the worker pool, close
-        the session's connections, then checkpoint the store, so that its
-        file alone holds the crawl."""
-        if not self._prepared:
+        """Run the prepared tasks to completion on the worker pool, stop the
+        workers and close the session's connections, then checkpoint the
+        store, so that its file alone holds the crawl."""
+        if self._plan is None:
             raise RuntimeError("call prepare() before execute()")
         t0 = time.monotonic()
-        threads = [threading.Thread(target=self._worker, daemon=True)
-                   for _ in range(min(self.config.workers, max(self._total, 1)))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        self._pool.close()
+        try:
+            list(self._executor.map(self._run_task, self._plan))
+        finally:
+            self._executor.shutdown()
+            self._pool.close()
         try:
             self.handle.checkpoint()
         except StoreUnavailable as exc:
             logger.warning("%s; the crawl's writes stay in the store's log", exc)
         with self._lock:
             return CrawlReport(
-                tasks_total=self._total,
+                tasks_total=len(self._plan),
                 tasks_succeeded=self._succeeded,
                 tasks_failed=self._failed,
                 papers_stored=self._papers_stored,
                 per_conference=dict(self._per_conference),
                 wall_ms=int((time.monotonic() - t0) * 1000),
                 tasks_unchanged=self._unchanged,
+                requests=self._requests,
             )
 
     def run(self) -> CrawlReport:
-        """Prepare and execute; an empty plan yields an all-zero report."""
+        """Prepare and execute; an empty plan yields a report of no tasks."""
         t0 = time.monotonic()
         try:
             self.prepare()
         except EmptyPlan:
-            return CrawlReport(0, 0, 0, 0, {}, int((time.monotonic() - t0) * 1000))
+            return CrawlReport(0, 0, 0, 0, {}, int((time.monotonic() - t0) * 1000),
+                               requests=self._requests)
         return self.execute()
 
 
@@ -409,7 +404,7 @@ def run_crawl(config: CrawlConfig, store_handle: store_mod.Store) -> CrawlReport
     """Plan and execute a crawl; every planned task reaches a terminal state.
 
     Individual task failures are recorded in the report, not raised; an
-    empty plan yields an all-zero report.
+    empty plan yields a report of no tasks.
 
     Raises:
         StoreUnavailable: the store cannot accept writes at all.

@@ -228,14 +228,6 @@ class Store:
                 raise StoreUnavailable(f"query failed: {exc}") from exc
         return None if row is None else row[0]
 
-    def execute_tuples(self, sql: str, params: Sequence = ()) -> list[tuple]:
-        with self._lock:
-            self._check_open()
-            try:
-                return [tuple(r) for r in self._conn.execute(sql, tuple(params))]
-            except sqlite3.Error as exc:
-                raise StoreUnavailable(f"query failed: {exc}") from exc
-
     # -- write path (serialized) --------------------------------------------
 
     def _write_batch(self, statements: Iterable[tuple[str, Sequence]]) -> None:

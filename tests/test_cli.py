@@ -254,7 +254,7 @@ class TestConfigFile:
         assert loaded.crawl == CrawlDefaults(
             venues=("acl", "emnlp"), year_start=2021, year_end=2023, workers=8,
             max_attempts=3, base_backoff_ms=500, timeout_ms=15000, min_interval_ms=250,
-            source="fixture:fixtures", index_url="https://aclanthology.org/")
+            source="fixture:fixtures")
         assert loaded.fixture_root == Path("fixtures")
 
     @pytest.mark.parametrize("text, section, key, value", [
@@ -273,8 +273,13 @@ class TestConfigFile:
         ('[crawl]\nvenues = "acl"\n', "crawl.venues must be an array of strings"),
         ("[crawl]\nworkers = true\n", "crawl.workers must be an integer"),
         ('[store]\ndatabase_name = ""\n', "store.database_name must be non-empty"),
+        ("[crawl]\nworker = 4\n", "unknown setting crawl.worker"),
+        ("[crawll]\nworkers = 2\n", "unknown section [crawll]"),
+        ("workers = 2\n", "unknown setting workers"),
+        ("[crawl.retry]\nmax_attempts = 2\n", "unknown setting crawl.retry"),
     ], ids=["leading-zero", "duplicate-key", "string-workers", "string-venues",
-            "bool-workers", "empty-database-name"])
+            "bool-workers", "empty-database-name", "unknown-key", "unknown-section",
+            "top-level-key", "unknown-subtable"])
     def test_bad_settings_exit_one(self, db_env, tmp_path, capsys, text, message):
         cfg = tmp_path / "anthology.toml"
         cfg.write_text(text, encoding="utf-8")

@@ -55,6 +55,12 @@ class TestBuilderChaining:
         with pytest.raises(InvalidChain):
             table("paper").having("count", "gt", 3).build()
 
+    def test_group_columns_must_be_distinct(self):
+        # A grouped row maps column names to values, so a repeated column
+        # would drop out of the result tuples.
+        with pytest.raises(InvalidChain):
+            table("paper").group("year", "year")
+
     def test_offset_without_limit(self):
         with pytest.raises(InvalidChain):
             table("paper").offset(10).build()

@@ -1,5 +1,6 @@
 import gc
 import logging
+import sys
 import threading
 import time
 import warnings
@@ -215,6 +216,27 @@ class TestMockCrawl:
             assert not any(p.venue_key == "emnlp" and p.year == 2022 for p in stored)
             handle.close()
 
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_report_counts_every_request(self, fixtures_root, workers):
+        with ScriptedCorpusServer(fixtures_root) as server:
+            server.script("/proceedings/acl-2021.html", [503, 503, 200])
+            server.script("/proceedings/emnlp-2022.html", [500])
+            config = CrawlConfig(venues=(), year_range=(2019, 2023), workers=workers,
+                                 policy=FAST_POLICY,
+                                 source=MockSource(endpoint=server.base_url))
+            handle = init_schema(StoreConfig(location=":memory:"))
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)  # frequent thread switches expose a lost update
+            try:
+                report = run_crawl(config, handle)
+            finally:
+                sys.setswitchinterval(interval)
+            handle.close()
+            logged = len(server.request_log())
+        # The index, 5 venue pages, 25 first pages and 4 retries.
+        assert report.requests == logged == 35
+        assert '"requests": 35' in report.to_json()
+
     def test_progress_snapshots_are_monotone(self, fixtures_root):
         with ScriptedCorpusServer(fixtures_root) as server:
             source = MockSource(endpoint=server.base_url)
@@ -330,6 +352,28 @@ class TestConnections:
     def test_failed_discovery_closes_its_connections(self, fixtures_root):
         counts = self.crawl_leaves_no_socket(fixtures_root, [("/index.html", [500])])
         assert counts == {"/index.html": FAST_POLICY.max_attempts}
+
+    def test_failed_venue_page_stops_the_crawl_in_discovery(self, fixtures_root):
+        with ScriptedCorpusServer(fixtures_root) as server:
+            server.script("/venues/emnlp.html", [500])
+            handle = init_schema(StoreConfig(location=":memory:"))
+            config = CrawlConfig(venues=(), year_range=(2019, 2023), workers=2,
+                                 policy=FAST_POLICY,
+                                 source=MockSource(endpoint=server.base_url))
+            threads_left = []
+
+            def prepare():
+                with pytest.raises(HarvestError):
+                    CrawlSession(config, handle).prepare()
+                threads_left.extend(t.name for t in threading.enumerate()
+                                    if t.name.startswith("crawl"))
+
+            assert unclosed_sockets(prepare) == []
+            handle.close()
+            counts = server.request_counts()
+        assert threads_left == []
+        assert counts["/venues/emnlp.html"] == FAST_POLICY.max_attempts
+        assert not any(path.startswith("/proceedings/") for path in counts)
 
     def test_cancelled_crawl_closes_its_connections(self, fixtures_root):
         counts = self.crawl_leaves_no_socket(fixtures_root, cancel=True)

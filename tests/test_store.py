@@ -114,8 +114,8 @@ class TestMigration:
 
         with init_schema(StoreConfig(location=str(path))) as h:
             assert h.execute_scalar("PRAGMA user_version") == 2
-            stored = h.execute_tuples(
-                "SELECT authors_normalized FROM paper ORDER BY anthology_id")
+            stored = [tuple(row.values()) for row in h.execute_sql(
+                "SELECT authors_normalized FROM paper ORDER BY anthology_id")]
             assert [json.loads(r[0]) for r in stored] == [
                 ["ann | bo", "jose garcia"], [], ["a|b", "wei chen", "wei chen"]]
             assert list(load_all_papers(h)) == papers
@@ -163,7 +163,7 @@ class TestStoreFile:
             copy = tmp_path / "copy" / "aclanthology.db"
             copy.parent.mkdir()
             copy.write_bytes((tmp_path / "aclanthology.db").read_bytes())
-            want = table_rows(h.execute_tuples)
+            want = table_rows(lambda sql: [row.values() for row in h.execute_sql(sql)])
         assert report.tasks_failed == 0
         assert len(want["paper"]) == report.papers_stored > 0
         assert sorted(p.name for p in copy.parent.iterdir()) == ["aclanthology.db"]
