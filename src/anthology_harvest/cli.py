@@ -143,9 +143,7 @@ def cmd_query(args: argparse.Namespace, cfg: ToolConfig) -> int:
     try:
         builder = query_mod.table("paper", handle)
         for spec in args.where or []:
-            column, op, value = _parse_where(spec)
-            builder = builder.where(column, op, value) if value is not None \
-                else builder.where(column, op)
+            builder = builder.where(*_parse_where(spec))
         if args.order:
             parts = args.order.split(":")
             direction = parts[1] if len(parts) > 1 else "asc"

@@ -29,9 +29,14 @@ proceedings link.  A thin adapter mapping a live site's markup onto
 these markers keeps the extraction interface unchanged.
 
 All operations are pure functions of their inputs; they are safe to call
-concurrently.  Recoverable anomalies degrade per entry, never per page:
-``parse_proceedings`` reports them in ``ParseReport.warnings``, the other
-operations log them at warning level.
+concurrently.  Recoverable anomalies degrade per link or entry, never per
+page.  A proceedings link that makes no valid ConferenceRecord (a year
+outside 1950..2100, an empty title, a link that is not absolute http(s))
+is skipped, and so is a paper entry whose title link is not absolute
+http(s); a PDF link that is not is dropped and its paper kept.
+``parse_proceedings`` reports these in ``ParseReport.warnings``, the other
+operations log them at warning level.  Discovery in ``scheduler`` likewise
+skips an index link whose name has no letter or digit for a venue key.
 """
 from __future__ import annotations
 
@@ -49,8 +54,8 @@ from .model import (
     Category,
     ConContent,
     ConferenceRecord,
-    CrawlLog,
     PaperRecord,
+    is_absolute_url,
     make_conf_id,
     normalize_author,
 )
@@ -125,8 +130,13 @@ def _join(base: str | None, href: str) -> tuple[str, str | None]:
     return urljoin(base, href), None
 
 
-def _resolve(base: str | None, href: str) -> str:
-    return _join(base, href)[0]
+def _http_join(base: str | None, href: str) -> tuple[str, str | None] | None:
+    """``_join(base, href)``, or None unless that is an absolute http(s) URL."""
+    try:
+        joined = _join(base, href)
+        return joined if joined[1] is not None or is_absolute_url(joined[0]) else None
+    except ValueError:  # urlparse rejects a malformed IPv6 netloc
+        return None
 
 
 def _base(page: htmldoc.Page, base_url: str | None) -> str | None:
@@ -169,7 +179,7 @@ def parse_index(html: str, *, base_url: str | None = None
             if not href or not name:
                 logger.warning("skipping venue link without href or name")
                 continue
-            url = _resolve(base, href)
+            url = _join(base, href)[0]
             if url in seen:
                 logger.warning("dropping duplicate venue link %s", url)
                 continue
@@ -221,21 +231,21 @@ def parse_venue_page(html: str, category: Category, venue_key: str, *,
                 href = node.get("href")
                 if not href:
                     continue
+                try:
+                    record = ConferenceRecord(
+                        make_conf_id(venue_key, year), venue_key, year,
+                        page.text(node), _join(base, href)[0], category)
+                except ValueError as exc:  # the year, title or URL is not valid
+                    logger.warning("skipping proceedings link for %s-%s: %s",
+                                   venue_key, year, exc)
+                    continue
                 seen_years.add(year)
                 # A link placed directly in the section gets no desc: the
                 # section holds every year's links, so a desc there is not
                 # this link's own.
                 if node.parent != section.pos:
                     claimant = len(records)
-                records.append(ConferenceRecord(
-                    conf_id=make_conf_id(venue_key, year),
-                    venue_key=venue_key,
-                    year=year,
-                    title=page.text(node),
-                    url=_resolve(base, href),
-                    category=category,
-                    crawl_log=CrawlLog(),
-                ))
+                records.append(record)
             elif "event-desc" in node.classes and node.parent == link_parent:
                 if claimant is not None:
                     records[claimant] = replace(records[claimant],
@@ -326,7 +336,11 @@ def parse_proceedings(html: str, conference: ConferenceRecord, *,
         if not href:
             warnings.append(f"entry {position}: title anchor has no href, skipped")
             continue
-        page_url, path = _join(base, href)
+        joined = _http_join(base, href)
+        if joined is None:
+            warnings.append(f"entry {position}: title link {href!r} is not http(s), skipped")
+            continue
+        page_url, path = joined
         anthology_id = (_id_from_path(path) if path is not None
                         else anthology_id_from_url(page_url))
         if not anthology_id:
@@ -353,7 +367,10 @@ def parse_proceedings(html: str, conference: ConferenceRecord, *,
 
         pdf_anchor = fields.get("pdf-link")
         pdf_href = pdf_anchor.get("href") if pdf_anchor is not None else None
-        pdf_url = _resolve(base, pdf_href) if pdf_href else None
+        joined = _http_join(base, pdf_href) if pdf_href else None
+        pdf_url = joined[0] if joined else None
+        if pdf_href and pdf_url is None:
+            warnings.append(f"entry {position}: pdf link {pdf_href!r} is not http(s), dropped")
 
         bibkey_node = fields.get("bibkey")
         bibkey = page.text(bibkey_node) if bibkey_node is not None else None
@@ -378,7 +395,7 @@ def parse_proceedings(html: str, conference: ConferenceRecord, *,
     content = ConContent(
         conference=conference,
         paper_page_links=tuple(landing_links),
-        next_page_links=tuple(_resolve(base, href) for href in nav_hrefs if href),
+        next_page_links=tuple(_join(base, href)[0] for href in nav_hrefs if href),
     )
     report = ParseReport(
         records_extracted=len(papers),

@@ -1,11 +1,13 @@
 """The retriever: a chainable query builder over the relational store.
 
 A chain starts at ``table()`` and every subsequent call returns a *new*
-builder value, so a prefix can be reused for several different suffixes.
-``build()`` normalizes the chain into a QueryAst; ``render_sql()`` turns an
-AST into deterministic standard SQL with positional placeholders; and
-``execute()`` runs it, returning rows for plain selects, tuples for grouped
-selects, or a scalar for bare aggregates.
+builder value holding a new QueryAst, so a prefix can be reused for several
+different suffixes.  ``build()`` validates the chain and returns its own
+QueryAst; ``render_sql()`` turns an AST into deterministic standard SQL with
+positional placeholders; and ``execute()`` runs it, returning rows for plain
+selects, tuples for grouped selects, or a scalar for bare aggregates.
+``exists()`` answers for the where-conditions alone: order, limit, offset,
+projection and grouping are ignored.
 
 Builder operations: table, where, or_where, and_group, or_group, field,
 group, having, order, limit, offset, distinct, count, min, max, avg, sum,
@@ -143,61 +145,53 @@ def _coerce_conditions(args: tuple, kwargs: Mapping[str, Any]) -> list[Condition
 
 @dataclass(frozen=True)
 class Builder:
-    """Immutable chainable builder; start with .table()."""
+    """Immutable chainable builder; start with .table(), which sets ``ast``."""
 
     handle: Store | None = None
-    _source: str | None = None
-    _conditions: tuple[WhereTerm, ...] = ()
-    _group_by: tuple[str, ...] | None = None
-    _having: Condition | None = None
-    _order_by: tuple[tuple[str, str], ...] = ()
-    _limit: int | None = None
-    _offset: int | None = None
-    _projection: tuple[str, ...] | None = None
-    _aggregate: tuple[str, str | None] | None = None
-    _distinct: bool = False
+    ast: QueryAst | None = None
 
     # -- chain entry ---------------------------------------------------------
 
     def table(self, source: str) -> "Builder":
         if source not in TABLE_COLUMNS:
             raise UnknownColumn(f"unknown table {source!r}; pick from {sorted(TABLE_COLUMNS)}")
-        return replace(self, _source=source)
+        return replace(self, ast=QueryAst(source))
 
-    def _require_table(self) -> str:
-        if self._source is None:
+    def _require_ast(self) -> QueryAst:
+        if self.ast is None:
             raise InvalidChain("call table() first")
-        return self._source
+        return self.ast
+
+    def _with(self, **changes) -> "Builder":
+        return replace(self, ast=replace(self._require_ast(), **changes))
 
     def _check_column(self, column: str) -> None:
-        if column not in TABLE_COLUMNS[self._require_table()]:
-            raise UnknownColumn(
-                f"column {column!r} not in table {self._source!r}")
-
-    def _checked(self, conds: Iterable[Condition]) -> tuple[Condition, ...]:
-        conds = tuple(conds)
-        for cond in conds:
-            self._check_column(cond.column)
-        return conds
+        source = self._require_ast().source
+        if column not in TABLE_COLUMNS[source]:
+            raise UnknownColumn(f"column {column!r} not in table {source!r}")
 
     # -- conditions ----------------------------------------------------------
 
+    def _append(self, connector: str, conds: list[Condition],
+                joiner: str | None = None) -> "Builder":
+        """Attach ``conds`` with ``connector``, as one group when ``joiner`` is given."""
+        for cond in conds:
+            self._check_column(cond.column)
+        items = conds if joiner is None else [ConditionGroup(joiner, tuple(conds))]
+        terms = tuple((connector, item) for item in items)
+        return self._with(conditions=self._require_ast().conditions + terms)
+
     def where(self, *args, **kwargs) -> "Builder":
         """Conjoin one or more conditions (repeated calls AND together)."""
-        terms = tuple(("and", c) for c in self._checked(_coerce_conditions(args, kwargs)))
-        return replace(self, _conditions=self._conditions + terms)
+        return self._append("and", _coerce_conditions(args, kwargs))
 
     def or_where(self, *args, **kwargs) -> "Builder":
         """Attach one or more conditions with OR."""
-        terms = tuple(("or", c) for c in self._checked(_coerce_conditions(args, kwargs)))
-        return replace(self, _conditions=self._conditions + terms)
+        return self._append("or", _coerce_conditions(args, kwargs))
 
     def _group_terms(self, connector: str, joiner: str, specs: Iterable) -> "Builder":
-        conds: list[Condition] = []
-        for spec in specs:
-            conds.extend(_coerce_conditions((spec,), {}))
-        group = ConditionGroup(joiner=joiner, conditions=self._checked(conds))
-        return replace(self, _conditions=self._conditions + ((connector, group),))
+        conds = [cond for spec in specs for cond in _coerce_conditions((spec,), {})]
+        return self._append(connector, conds, joiner)
 
     def and_group(self, specs: Iterable, joiner: str = "or") -> "Builder":
         """AND a parenthesized group (disjunctive by default) onto the chain."""
@@ -210,22 +204,22 @@ class Builder:
     # -- shaping  --------------------------------------------------------
 
     def field(self, *columns: str) -> "Builder":
-        self._require_table()
+        self._require_ast()
         if not columns:
             raise InvalidChain("field() needs at least one column")
         for c in columns:
             self._check_column(c)
-        return replace(self, _projection=tuple(columns))
+        return self._with(projection=tuple(columns))
 
     def group(self, *columns: str) -> "Builder":
-        self._require_table()
+        self._require_ast()
         if not columns:
             raise InvalidChain("group() needs at least one column")
         if len(set(columns)) < len(columns):
             raise InvalidChain("group() columns must be distinct")
         for c in columns:
             self._check_column(c)
-        return replace(self, _group_by=tuple(columns))
+        return self._with(group_by=tuple(columns))
 
     def having(self, *args, **kwargs) -> "Builder":
         conds = _coerce_conditions(args, kwargs)
@@ -234,35 +228,33 @@ class Builder:
         cond = conds[0]
         if cond.column != COUNT_PSEUDO_COLUMN:
             self._check_column(cond.column)
-        return replace(self, _having=cond)
+        return self._with(having=cond)
 
     def order(self, column: str, direction: str = "asc") -> "Builder":
         self._check_column(column)
         if direction not in ("asc", "desc"):
             raise InvalidChain(f"direction must be asc/desc, got {direction!r}")
-        return replace(self, _order_by=self._order_by + ((column, direction),))
+        return self._with(order_by=self._require_ast().order_by + ((column, direction),))
 
     def limit(self, n: int) -> "Builder":
         if n < 0:
             raise InvalidChain("limit must be non-negative")
-        return replace(self, _limit=n)
+        return self._with(limit=n)
 
     def offset(self, n: int) -> "Builder":
         if n < 0:
             raise InvalidChain("offset must be non-negative")
-        return replace(self, _offset=n)
+        return self._with(offset=n)
 
     def distinct(self) -> "Builder":
-        self._require_table()
-        return replace(self, _distinct=True)
+        return self._with(distinct=True)
 
     # -- aggregates ------------------------------------------------------
 
     def _agg(self, fn: str, column: str | None) -> "Builder":
-        self._require_table()
         if column is not None:
             self._check_column(column)
-        return replace(self, _aggregate=(fn, column))
+        return self._with(aggregate=(fn, column))
 
     def count(self, column: str | None = None) -> "Builder":
         return self._agg("count", column)
@@ -285,50 +277,39 @@ class Builder:
     # -- terminals -------------------------------------------------------
 
     def build(self) -> QueryAst:
-        """Validate the chain and produce its normalized AST.
+        """Validate the chain and return its AST.
 
         Raises:
             InvalidChain: structural misuse (having without group, offset
                 without limit, projection mixed with grouping, ...).
         """
-        source = self._require_table()
-        if self._having is not None and self._group_by is None:
+        ast = self._require_ast()
+        if ast.having is not None and ast.group_by is None:
             raise InvalidChain("having() requires group()")
-        if self._offset is not None and self._limit is None:
+        if ast.offset is not None and ast.limit is None:
             raise InvalidChain("offset() requires limit()")
-        if self._aggregate is not None and self._projection is not None:
+        if ast.aggregate is not None and ast.projection is not None:
             raise InvalidChain("aggregates cannot be combined with field()")
-        if self._aggregate is not None and self._distinct:
+        if ast.aggregate is not None and ast.distinct:
             raise InvalidChain("use distinct_count() instead of distinct() + aggregate")
-        if self._group_by is not None and self._projection is not None:
+        if ast.group_by is not None and ast.projection is not None:
             raise InvalidChain("group() fixes the select list; drop field()")
-        if self._group_by is not None and self._distinct:
+        if ast.group_by is not None and ast.distinct:
             raise InvalidChain("group() already deduplicates; drop distinct()")
-        if self._group_by is not None:
-            for column, _ in self._order_by:
-                if column not in self._group_by:
+        if ast.group_by is not None:
+            for column, _ in ast.order_by:
+                if column not in ast.group_by:
                     raise InvalidChain(
                         f"order column {column!r} must be grouped")
-        elif self._distinct and self._projection is not None:
-            for column, _ in self._order_by:
-                if column not in self._projection:
+        elif ast.distinct and ast.projection is not None:
+            for column, _ in ast.order_by:
+                if column not in ast.projection:
                     raise InvalidChain(
                         f"order column {column!r} must be projected under distinct()")
-        if self._having is not None and self._having.column != COUNT_PSEUDO_COLUMN:
-            if self._having.column not in (self._group_by or ()):
+        if ast.having is not None and ast.having.column != COUNT_PSEUDO_COLUMN:
+            if ast.having.column not in (ast.group_by or ()):
                 raise InvalidChain("having() may reference 'count' or a grouped column")
-        return QueryAst(
-            source=source,
-            conditions=self._conditions,
-            group_by=self._group_by,
-            having=self._having,
-            order_by=self._order_by,
-            limit=self._limit,
-            offset=self._offset,
-            projection=self._projection,
-            aggregate=self._aggregate,
-            distinct=self._distinct,
-        )
+        return ast
 
     def query(self):
         """Build and execute against the bound store."""
@@ -338,19 +319,16 @@ class Builder:
 
     def find_one(self):
         """First row of the (deterministically ordered) result, or None."""
-        rows = self.limit(1).query()
+        rows = self.limit(0 if self._require_ast().limit == 0 else 1).query()
         if not isinstance(rows, list):
             raise InvalidChain("find_one() applies to row queries, not aggregates")
         return rows[0] if rows else None
 
     def exists(self) -> bool:
-        """Whether any row matches the current chain."""
-        if self.handle is None:
-            raise InvalidChain("builder has no store bound; pass Builder(handle)")
-        probe = replace(self, _order_by=(), _limit=1, _offset=None,
-                        _projection=None, _aggregate=("count", None),
-                        _distinct=False, _group_by=None, _having=None)
-        return bool(execute(self.handle, probe.build()))
+        """Whether any row matches the chain's where-conditions."""
+        ast = self._require_ast()
+        probe = QueryAst(ast.source, ast.conditions, limit=1, aggregate=("count", None))
+        return bool(replace(self, ast=probe).query())
 
 
 def table(source: str, handle: Store | None = None) -> Builder:
@@ -361,8 +339,9 @@ def table(source: str, handle: Store | None = None) -> Builder:
 # -- rendering ---------------------------------------------------------------
 
 
-def _render_condition(cond: Condition, params: list) -> str:
-    col = _ident(cond.column)
+def _render_condition(cond: Condition, params: list, col: str | None = None) -> str:
+    # ``col`` is the left-hand SQL: HAVING passes COUNT(*) or a grouped column.
+    col = col or _ident(cond.column)
     if cond.op in _OP_SQL:
         params.append(cond.value)
         return f"{col} {_OP_SQL[cond.op]} ?"
@@ -429,9 +408,7 @@ def _render(ast: QueryAst, params: list, *, executed: bool = False) -> str:
     if ast.having is not None:
         lhs = ("COUNT(*)" if ast.having.column == COUNT_PSEUDO_COLUMN
                else _ident(ast.having.column))
-        having = Condition("__having__", ast.having.op, ast.having.value)
-        rendered = _render_condition(having, params).replace('__having__', lhs, 1)
-        sql += f" HAVING {rendered}"
+        sql += f" HAVING {_render_condition(ast.having, params, lhs)}"
 
     order_pairs = list(ast.order_by)
     if executed:

@@ -38,7 +38,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import htmldoc, model, parser, store as store_mod
-from .errors import EmptyPlan, FetchError, HarvestError, StoreUnavailable
+from .errors import EmptyInput, EmptyPlan, FetchError, HarvestError, StoreUnavailable
 from .fetcher import ConnectionPool, FetchPolicy, RateGate, Source, fetch
 from .model import (
     Category,
@@ -229,8 +229,15 @@ class CrawlSession:
                                    base_url=start_url)
         wanted = ({canonical_venue(v) for v in self.config.venues}
                   if self.config.venues else None)
-        links = [(category, canonical_venue(name), url) for category, name, url in index]
-        wanted_links = [link for link in links if wanted is None or link[1] in wanted]
+        wanted_links = []
+        for category, name, url in index:
+            try:
+                venue_key = canonical_venue(name)
+            except EmptyInput as exc:
+                logger.warning("skipping venue link %s: %s", url, exc)
+                continue
+            if wanted is None or venue_key in wanted:
+                wanted_links.append((category, venue_key, url))
         return index, dict(self._executor.map(self._venue_page, wanted_links))
 
     def _venue_page(self, link: tuple[Category, str, str]

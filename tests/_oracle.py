@@ -23,7 +23,7 @@ import logging
 from dataclasses import replace
 from html.parser import HTMLParser
 from typing import Iterator
-from urllib.parse import urljoin
+from urllib.parse import urljoin, urlparse
 
 from anthology_harvest.errors import EmptyInput, StructureError, UnrecognizedPage
 from anthology_harvest.htmldoc import VOID_TAGS
@@ -400,6 +400,16 @@ def _resolve(root: Node, href: str, base_url: str | None) -> str:
     return urljoin(base, href) if base else href
 
 
+def _http_url(root: Node, href: str, base_url: str | None) -> str | None:
+    """The resolved link, or None unless it is an absolute http(s) URL."""
+    try:
+        url = _resolve(root, href, base_url)
+        parts = urlparse(url)
+    except ValueError:
+        return None
+    return url if parts.scheme in ("http", "https") and parts.netloc else None
+
+
 def classify_page(html: str, source_url: str = "") -> PageKind:
     if not html or not html.strip():
         raise EmptyInput("page body is empty")
@@ -476,18 +486,24 @@ def parse_venue_page(html: str, category: Category, venue_key: str, *,
                 href = node.attrs.get("href")
                 if not href:
                     continue
+                try:
+                    record = ConferenceRecord(
+                        conf_id=make_conf_id(venue_key, year),
+                        venue_key=venue_key,
+                        year=year,
+                        title=node.text(),
+                        url=_resolve(root, href, base_url),
+                        category=category,
+                        crawl_log=CrawlLog(),
+                    )
+                except ValueError as exc:
+                    logger.warning("skipping proceedings link for %s-%s: %s",
+                                   venue_key, year, exc)
+                    continue
                 seen_years.add(year)
                 if parent is not section:
                     claimant = len(records)
-                records.append(ConferenceRecord(
-                    conf_id=make_conf_id(venue_key, year),
-                    venue_key=venue_key,
-                    year=year,
-                    title=node.text(),
-                    url=_resolve(root, href, base_url),
-                    category=category,
-                    crawl_log=CrawlLog(),
-                ))
+                records.append(record)
             elif node.has_class("event-desc") and parent is link_parent:
                 if claimant is not None:
                     records[claimant] = replace(records[claimant],
@@ -541,7 +557,10 @@ def parse_proceedings(html: str, conference: ConferenceRecord, *,
         if not href:
             warnings.append(f"entry {position}: title anchor has no href, skipped")
             continue
-        page_url = _resolve(root, href, base_url)
+        page_url = _http_url(root, href, base_url)
+        if page_url is None:
+            warnings.append(f"entry {position}: title link {href!r} is not http(s), skipped")
+            continue
         anthology_id = anthology_id_from_url(page_url)
         if not anthology_id:
             warnings.append(f"entry {position}: no id in {page_url}, skipped")
@@ -568,7 +587,10 @@ def parse_proceedings(html: str, conference: ConferenceRecord, *,
         pdf_anchor = entry.find(tag="a", cls="pdf-link")
         pdf_url = None
         if pdf_anchor is not None and pdf_anchor.attrs.get("href"):
-            pdf_url = _resolve(root, pdf_anchor.attrs["href"], base_url)
+            pdf_url = _http_url(root, pdf_anchor.attrs["href"], base_url)
+            if pdf_url is None:
+                warnings.append(f"entry {position}: pdf link {pdf_anchor.attrs['href']!r}"
+                                " is not http(s), dropped")
 
         bibkey_node = entry.find(cls="bibkey")
         bibkey = bibkey_node.text() if bibkey_node is not None else None

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,46 @@ class TestHarvest:
         report = json.loads(capsys.readouterr().out.split("\n", 1)[1])
         assert code == 0
         assert report["tasks_total"] == 5 and report["tasks_failed"] == 0
+
+    def test_bad_links_skipped(self, db_env, tmp_path, capsys, manifest):
+        # A venue name with no letter or digit, a year out of range, a
+        # proceedings link and a title link that are not http(s), a mailto
+        # PDF link: each skips its own link or entry, never the harvest.
+        site = tmp_path / "site"
+        shutil.copytree(FIXTURES, site)
+
+        def edit(page: str, old: str, new: str) -> None:
+            path = site / page
+            html = path.read_text(encoding="utf-8")
+            assert html.count(old) == 1, (page, old)
+            path.write_text(html.replace(old, new), encoding="utf-8")
+
+        edit("index.html", "<h2>ACL Events</h2>\n", '<h2>ACL Events</h2>\n'
+             '<li><a class="venue-link" href="/venues/star.html">\u2605</a></li>\n')
+        edit("venues/acl.html", "<h1>ACL</h1>\n",
+             '<h1>ACL</h1>\n<h4 class="year-heading">3000</h4>\n'
+             '<a class="proceedings-link" href="/proceedings/acl-2023.html">Future</a>\n'
+             '<h4 class="year-heading">2018</h4>\n'
+             '<a class="proceedings-link" href="ftp://anthology.test/acl-2018.html">Old</a>\n')
+        edit("proceedings/acl-2022.html", 'href="/2022.acl-long.4.pdf"',
+             'href="mailto:chairs@anthology.test"')
+        edit("proceedings/acl-2022.html", '<div class="paper-list">\n',
+             '<div class="paper-list">\n<div class="paper-entry"><a class="paper-title" '
+             'href="javascript:void(0)">Nowhere</a></div>\n')
+        code = main(["harvest", "--source", f"fixture:{site}", "--report-json", "-"])
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert "Traceback" not in err
+        report = json.loads(out.split("\n", 1)[1])
+        assert report["tasks_total"] == 25 and report["tasks_failed"] == 0
+        assert report["papers_stored"] == sum(
+            p["expected_records"] for p in manifest["pages"] if p["kind"] == "proceedings")
+        code = main(["query", "--where", "anthology_id:eq:2022.acl-long.4",
+                     "--format", "json"])
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert code == 0
+        assert [(r["title"], r["pdf_url"]) for r in rows] == [
+            ("Event Extraction from Procedural Text", None)]
 
     def test_empty_plan_notice(self, db_env, capsys):
         code = main(["harvest", "--years", "1960..1961",

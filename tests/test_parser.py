@@ -143,7 +143,76 @@ class TestParseVenuePage:
         assert [(r.year, r.desc) for r in records] == [(2023, None), (2022, "Hybrid 2022")]
 
 
+    def test_links_that_make_no_conference_skipped_with_warning(self, caplog):
+        # A year outside 1950..2100, a link that is not http(s), an empty
+        # title: each link is skipped and logged, the page's other link kept.
+        html = wrap(
+            '<section class="venue-page">'
+            '<h4 class="year-heading">3000</h4>'
+            '<a class="proceedings-link" href="/proceedings/x-3000.html">P 3000</a>'
+            '<h4 class="year-heading">2021</h4>'
+            '<a class="proceedings-link" href="mailto:chairs@x.test">P 2021</a>'
+            '<a class="proceedings-link" href="/proceedings/x-2021.html">P 2021</a>'
+            '<h4 class="year-heading">2020</h4>'
+            '<a class="proceedings-link" href="javascript:void(0)">P 2020</a>'
+            '<h4 class="year-heading">2019</h4>'
+            '<a class="proceedings-link" href="/proceedings/x-2019.html"></a>'
+            "</section>")
+        with caplog.at_level(logging.WARNING, logger="anthology_harvest.parser"):
+            records = parse_venue_page(html, Category.ACL_EVENT, "x")
+        assert [(r.conf_id, r.url) for r in records] == [
+            ("x-2021", "https://anthology.test/proceedings/x-2021.html")]
+        skipped = [m for m in caplog.messages if m.startswith("skipping proceedings link")]
+        assert skipped == [
+            "skipping proceedings link for x-3000: year 3000 outside [1950, 2100]",
+            "skipping proceedings link for x-2021: url 'mailto:chairs@x.test' must be absolute",
+            "skipping proceedings link for x-2020: url 'javascript:void(0)' must be absolute",
+            "skipping proceedings link for x-2019: title must be non-empty",
+        ]
+
+
 class TestParseProceedings:
+    def test_bad_links_fail_one_entry(self):
+        # A title link that is not http(s) skips its entry; a PDF link that
+        # is not only loses the PDF.
+        conf = make_conference()
+        html = wrap(
+            '<section class="proceedings-page"><div class="paper-list">'
+            '<div class="paper-entry"><a class="paper-title" href="javascript:void(0)">A</a>'
+            '</div><div class="paper-entry">'
+            '<a class="paper-title" href="http://[::1/2022.acl-long.2/">B</a>'
+            '</div><div class="paper-entry">'
+            '<a class="paper-title" href="/2022.acl-long.3/">C</a>'
+            '<a class="pdf-link" href="mailto:pdf@anthology.test">pdf</a>'
+            '</div><div class="paper-entry">'
+            '<a class="paper-title" href="/2022.acl-long.4/">D</a>'
+            '<a class="pdf-link" href="/2022.acl-long.4.pdf">pdf</a>'
+            '</div></div></section>')
+        _, papers, report = parse_proceedings(html, conf)
+        assert [(p.anthology_id, p.pdf_url) for p in papers] == [
+            ("2022.acl-long.3", None),
+            ("2022.acl-long.4", "https://anthology.test/2022.acl-long.4.pdf")]
+        assert report.warnings == (
+            "entry 1: title link 'javascript:void(0)' is not http(s), skipped",
+            "entry 2: title link 'http://[::1/2022.acl-long.2/' is not http(s), skipped",
+            "entry 3: pdf link 'mailto:pdf@anthology.test' is not http(s), dropped",
+        )
+
+    def test_relative_links_without_a_base(self):
+        conf = make_conference()
+        html = ('<section class="proceedings-page"><div class="paper-list">'
+                '<div class="paper-entry"><a class="paper-title" href="2022.acl-long.1/">A</a>'
+                '</div><div class="paper-entry">'
+                '<a class="paper-title" href="https://anthology.test/2022.acl-long.2/">B</a>'
+                '<a class="pdf-link" href="2022.acl-long.2.pdf">pdf</a>'
+                '</div></div></section>')
+        _, papers, report = parse_proceedings(html, conf)
+        assert [(p.anthology_id, p.pdf_url) for p in papers] == [("2022.acl-long.2", None)]
+        assert report.warnings == (
+            "entry 1: title link '2022.acl-long.1/' is not http(s), skipped",
+            "entry 2: pdf link '2022.acl-long.2.pdf' is not http(s), dropped",
+        )
+
     def test_titleless_entry_skipped_with_warning(self, corpus, manifest):
         conf = make_conference(venue="coling", year=2019,
                                category=Category.NON_ACL_EVENT)

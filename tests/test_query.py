@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -16,7 +17,7 @@ from anthology_harvest import (
     upsert_papers,
 )
 from anthology_harvest.errors import BadArity
-from anthology_harvest.query import Builder, bind_params
+from anthology_harvest.query import Builder, QueryAst, bind_params
 from conftest import make_paper, random_papers
 
 
@@ -205,3 +206,9 @@ class TestOracleEquivalence:
             got = execute(mem_store, ast)
             want = _oracle.eval_ast(rows, ast)
             assert got == want, f"chain {i}: {render_sql(ast)}"
+            bound = replace(builder, handle=mem_store)
+            matched = _oracle.eval_ast(rows, QueryAst(ast.source, ast.conditions))
+            assert bound.exists() == bool(matched), f"chain {i}: {render_sql(ast)}"
+            if isinstance(want, list):
+                first = want[0] if want else None
+                assert bound.find_one() == first, f"chain {i}: {render_sql(ast)}"

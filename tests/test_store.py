@@ -275,8 +275,12 @@ def test_readers_and_the_crawl_do_not_block_each_other(fixtures_root, tmp_path,
             tree = store_mod.stats_stored(reader, ["venue_key", "year"])
             grouped = Counter({(venue, year): n for venue, years in tree.items()
                                for year, n in years.items()})
-            reads.append((papers, grouped, reader._conn.in_transaction,
-                          writer._conn.in_transaction))
+            # Under each store's lock: another worker may be inside its write.
+            with reader._lock:
+                reader_in_tx = reader._conn.in_transaction
+            with writer._lock:
+                writer_in_tx = writer._conn.in_transaction
+            reads.append((papers, grouped, reader_in_tx, writer_in_tx))
         except Exception as exc:  # recorded here: the crawl would swallow it
             errors.append(exc)
         return result
