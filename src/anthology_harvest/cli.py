@@ -11,10 +11,9 @@ import sys
 from pathlib import Path
 
 from . import query as query_mod
-from . import scheduler, store as store_mod
+from . import store as store_mod
 from .config import ConfigError, ToolConfig, load_config
 from .errors import EmptyRuleSet, HarvestError
-from .fetcher import FixtureSource, parse_source_spec
 from .paperlist import FilterRule, PaperList
 from .store import INT_COLUMNS, PAPER_COLUMNS
 
@@ -96,6 +95,10 @@ def _open_store(cfg: ToolConfig) -> store_mod.Store:
 
 
 def cmd_harvest(args: argparse.Namespace, cfg: ToolConfig) -> int:
+    # The only command that crawls, so the only one that loads the crawler.
+    from . import scheduler
+    from .fetcher import FixtureSource, parse_source_spec
+
     crawl = cfg.crawl
     years = _parse_years(args.years) if args.years else (crawl.year_start, crawl.year_end)
     venues = tuple(v for v in (args.venues or "").split(",") if v) or crawl.venues

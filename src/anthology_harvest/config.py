@@ -12,7 +12,6 @@ import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .fetcher import FetchPolicy
 from .store import StoreConfig
 
 DEFAULT_CONFIG_PATH = Path("anthology.toml")
@@ -64,6 +63,8 @@ class CrawlDefaults:
     source: str = "live"
 
     def policy(self) -> FetchPolicy:
+        from .fetcher import FetchPolicy
+
         return FetchPolicy(
             max_attempts=self.max_attempts,
             base_backoff_ms=self.base_backoff_ms,

@@ -32,8 +32,9 @@ All operations are pure functions of their inputs; they are safe to call
 concurrently.  Recoverable anomalies degrade per link or entry, never per
 page.  A proceedings link that makes no valid ConferenceRecord (a year
 outside 1950..2100, an empty title, a link that is not absolute http(s))
-is skipped, and so is a paper entry whose title link is not absolute
-http(s); a PDF link that is not is dropped and its paper kept.
+is skipped, and so is an index venue link, a pagination link or a paper
+entry whose title link is not absolute http(s); a PDF link that is not is
+dropped and its paper kept.
 ``parse_proceedings`` reports these in ``ParseReport.warnings``, the other
 operations log them at warning level.  Discovery in ``scheduler`` likewise
 skips an index link whose name has no letter or digit for a venue key.
@@ -179,7 +180,11 @@ def parse_index(html: str, *, base_url: str | None = None
             if not href or not name:
                 logger.warning("skipping venue link without href or name")
                 continue
-            url = _join(base, href)[0]
+            joined = _http_join(base, href)
+            if joined is None:
+                logger.warning("skipping venue link %r: not http(s)", href)
+                continue
+            url = joined[0]
             if url in seen:
                 logger.warning("dropping duplicate venue link %s", url)
                 continue
@@ -390,12 +395,20 @@ def parse_proceedings(html: str, conference: ConferenceRecord, *,
         ))
 
     nav = page.find("pagination")
-    nav_hrefs = [] if nav is None else [
-        element.get("href") for element in page.inside(nav) if element.tag == "a"]
+    next_links: list[str] = []
+    for element in () if nav is None else page.inside(nav):
+        href = element.get("href")
+        if element.tag != "a" or not href:
+            continue
+        joined = _http_join(base, href)
+        if joined is None:
+            warnings.append(f"pagination link {href!r} is not http(s), skipped")
+        else:
+            next_links.append(joined[0])
     content = ConContent(
         conference=conference,
         paper_page_links=tuple(landing_links),
-        next_page_links=tuple(_join(base, href)[0] for href in nav_hrefs if href),
+        next_page_links=tuple(next_links),
     )
     report = ParseReport(
         records_extracted=len(papers),

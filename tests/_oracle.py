@@ -445,7 +445,10 @@ def parse_index(html: str, *, base_url: str | None = None
             if not href or not name:
                 logger.warning("skipping venue link without href or name")
                 continue
-            url = _resolve(root, href, base_url)
+            url = _http_url(root, href, base_url)
+            if url is None:
+                logger.warning("skipping venue link %r: not http(s)", href)
+                continue
             if url in seen:
                 logger.warning("dropping duplicate venue link %s", url)
                 continue
@@ -614,8 +617,13 @@ def parse_proceedings(html: str, conference: ConferenceRecord, *,
     if nav is not None:
         for anchor in nav.find_all(tag="a"):
             href = anchor.attrs.get("href")
-            if href:
-                next_links.append(_resolve(root, href, base_url))
+            if not href:
+                continue
+            url = _http_url(root, href, base_url)
+            if url is None:
+                warnings.append(f"pagination link {href!r} is not http(s), skipped")
+            else:
+                next_links.append(url)
 
     content = ConContent(
         conference=conference,

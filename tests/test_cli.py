@@ -27,6 +27,14 @@ def harvested(db_env, capsys):
     return db_env
 
 
+def edit_page(site: Path, page: str, old: str, new: str) -> None:
+    """Replace the one occurrence of ``old`` in ``site/page``."""
+    path = site / page
+    html = path.read_text(encoding="utf-8")
+    assert html.count(old) == 1, (page, old)
+    path.write_text(html.replace(old, new), encoding="utf-8")
+
+
 class TestHarvest:
     def test_fixture_harvest_exit_zero(self, db_env, capsys, manifest):
         code = main(["harvest", "--venues", "acl", "--years", "2021..2023",
@@ -55,10 +63,7 @@ class TestHarvest:
         shutil.copytree(FIXTURES, site)
 
         def edit(page: str, old: str, new: str) -> None:
-            path = site / page
-            html = path.read_text(encoding="utf-8")
-            assert html.count(old) == 1, (page, old)
-            path.write_text(html.replace(old, new), encoding="utf-8")
+            edit_page(site, page, old, new)
 
         edit("index.html", "<h2>ACL Events</h2>\n", '<h2>ACL Events</h2>\n'
              '<li><a class="venue-link" href="/venues/star.html">\u2605</a></li>\n')
@@ -86,6 +91,33 @@ class TestHarvest:
         assert code == 0
         assert [(r["title"], r["pdf_url"]) for r in rows] == [
             ("Event Extraction from Procedural Text", None)]
+
+    def test_links_that_are_not_http_skipped(self, db_env, tmp_path, capsys, caplog,
+                                             manifest):
+        # A mailto venue link on the index and a javascript: pagination link
+        # on acl-2022 each skip only themselves.
+        site = tmp_path / "site"
+        shutil.copytree(FIXTURES, site)
+        edit_page(site, "index.html", "<h2>ACL Events</h2>\n", '<h2>ACL Events</h2>\n'
+                  '<li><a class="venue-link" href="mailto:x@anthology.test">Mail</a></li>\n')
+        edit_page(site, "proceedings/acl-2022.html", "</section>\n",
+                  '</section>\n<nav class="pagination">'
+                  '<a href="javascript:void(0)">next</a></nav>\n')
+        with caplog.at_level("WARNING", logger="anthology_harvest"):
+            code = main(["harvest", "--source", f"fixture:{site}", "--report-json", "-"])
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        report = json.loads(out.split("\n", 1)[1])
+        assert report["tasks_total"] == 25 and report["tasks_failed"] == 0
+        assert report["papers_stored"] == sum(
+            p["expected_records"] for p in manifest["pages"] if p["kind"] == "proceedings")
+        assert report["per_conference"]["acl-2022"]["paper_count"] == next(
+            p["expected_records"] for p in manifest["pages"]
+            if p["path"] == "proceedings/acl-2022.html")
+        messages = [r.getMessage() for r in caplog.records]
+        assert "skipping venue link 'mailto:x@anthology.test': not http(s)" in messages
+        assert ("acl-2022: pagination link 'javascript:void(0)' is not http(s), skipped"
+                in messages)
 
     def test_empty_plan_notice(self, db_env, capsys):
         code = main(["harvest", "--years", "1960..1961",

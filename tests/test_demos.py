@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the current package."""
+"""Every demo script, and the README's library quickstart, runs to completion
+against the current package."""
 import os
 import subprocess
 import sys
@@ -20,3 +21,14 @@ def test_demo_exits_zero(demo, tmp_path):
     done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr[-2000:]
+
+
+def test_readme_library_quickstart_runs(tmp_path):
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quickstart", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"), TMPDIR=str(tmp_path))
+    done = subprocess.run([sys.executable, "-c", code], cwd=REPO_ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert "@inproceedings" in done.stdout

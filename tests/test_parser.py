@@ -84,6 +84,17 @@ class TestParseIndex:
         with pytest.raises(StructureError):
             parse_index("<html><body></body></html>")
 
+    def test_link_not_http_skipped_with_warning(self, caplog):
+        html = wrap(
+            '<section class="venue-index" data-category="acl-events">'
+            '<a class="venue-link" href="mailto:x@anthology.test">Mail</a>'
+            '<a class="venue-link" href="/venues/acl.html">ACL</a></section>')
+        with caplog.at_level(logging.WARNING, logger="anthology_harvest.parser"):
+            rows = parse_index(html)
+        assert rows == [(Category.ACL_EVENT, "ACL", "https://anthology.test/venues/acl.html")]
+        assert [r.getMessage() for r in caplog.records] == [
+            "skipping venue link 'mailto:x@anthology.test': not http(s)"]
+
 
 class TestParseVenuePage:
     def test_corpus_acl(self, corpus):
@@ -299,6 +310,19 @@ class TestParseProceedings:
         assert content.next_page_links == (
             "https://anthology.test/proceedings/acl-2022-p2.html",)
         assert content.paper_page_links == ("https://anthology.test/2022.acl-long.7/",)
+
+    def test_pagination_link_not_http_skipped_with_warning(self):
+        html = wrap(
+            '<section class="proceedings-page"><div class="paper-list">'
+            '<div class="paper-entry"><a class="paper-title" href="/2022.acl-long.7/">T</a></div>'
+            '</div></section><nav class="pagination"><a href="javascript:void(0)">x</a>'
+            '<a href="/proceedings/acl-2022-p2.html">next</a></nav>')
+        content, papers, report = parse_proceedings(html, make_conference())
+        assert content.next_page_links == (
+            "https://anthology.test/proceedings/acl-2022-p2.html",)
+        assert len(papers) == 1
+        assert report.warnings == (
+            "pagination link 'javascript:void(0)' is not http(s), skipped",)
 
 
 def test_anthology_id_from_url():
