@@ -153,9 +153,8 @@ def cmd_query(args: argparse.Namespace, cfg: ToolConfig) -> int:
             builder = builder.order(parts[0], direction)
         if args.limit is not None:
             builder = builder.limit(args.limit)
-        rows = builder.query()
-        papers = query_mod.hydrate_papers(rows)
-    except HarvestError as exc:
+        papers = query_mod.hydrate_papers(builder.query())
+    except (HarvestError, ValueError) as exc:  # ValueError: a stored row fails a check
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
@@ -196,6 +195,9 @@ def cmd_filter(args: argparse.Namespace, cfg: ToolConfig) -> int:
         print("error: no filter rules given "
               "(--keyword-all/--keyword-any/--author/--venues/--years)",
               file=sys.stderr)
+        return 1
+    except ValueError as exc:  # a stored row fails a check
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
         handle.close()

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from .fetcher import START_HEADER
+START_HEADER = "X-Request-Start"  # fetcher.START_HEADER, without loading the fetcher
 
 
 @dataclass(frozen=True)

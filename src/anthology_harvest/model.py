@@ -128,11 +128,6 @@ def is_absolute_url(url: str) -> bool:
     return parts.scheme in ("http", "https") and bool(parts.netloc)
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ValueError(message)
-
-
 @dataclass(frozen=True, slots=True)
 class PaperRecord:
     """One publication: the data unit recorded for literature retrieval.
@@ -153,19 +148,18 @@ class PaperRecord:
     bibkey: str | None = None
 
     def __post_init__(self) -> None:
-        _require(bool(self.anthology_id), "anthology_id must be non-empty")
-        _require(bool(self.title), "title must be non-empty")
-        _require(
-            VENUE_KEY_RE.match(self.venue_key) is not None,
-            f"venue_key {self.venue_key!r} must match [a-z0-9_-]+",
-        )
-        _require(
-            YEAR_MIN <= self.year <= YEAR_MAX,
-            f"year {self.year} outside [{YEAR_MIN}, {YEAR_MAX}]",
-        )
-        _require(is_absolute_url(self.page_url), f"page_url {self.page_url!r} must be absolute")
-        if self.pdf_url is not None:
-            _require(is_absolute_url(self.pdf_url), f"pdf_url {self.pdf_url!r} must be absolute")
+        if not self.anthology_id:
+            raise ValueError("anthology_id must be non-empty")
+        if not self.title:
+            raise ValueError("title must be non-empty")
+        if VENUE_KEY_RE.match(self.venue_key) is None:
+            raise ValueError(f"venue_key {self.venue_key!r} must match [a-z0-9_-]+")
+        if not YEAR_MIN <= self.year <= YEAR_MAX:
+            raise ValueError(f"year {self.year} outside [{YEAR_MIN}, {YEAR_MAX}]")
+        if not is_absolute_url(self.page_url):
+            raise ValueError(f"page_url {self.page_url!r} must be absolute")
+        if self.pdf_url is not None and not is_absolute_url(self.pdf_url):
+            raise ValueError(f"pdf_url {self.pdf_url!r} must be absolute")
 
 
 @dataclass(frozen=True, slots=True)
@@ -179,15 +173,16 @@ class CrawlLog:
     paper_count: int | None = None
 
     def __post_init__(self) -> None:
-        _require(self.attempts >= 0, "attempts must be non-negative")
-        if self.status is CrawlStatus.STORED:
-            _require(self.paper_count is not None, "stored log needs paper_count")
-        if self.status is CrawlStatus.FAILED:
-            _require(bool(self.last_error), "failed log needs last_error")
-        if self.status is not CrawlStatus.PENDING:
-            _require(self.attempts >= 1, "non-pending log needs attempts >= 1")
-        if self.paper_count is not None:
-            _require(self.paper_count >= 0, "paper_count must be non-negative")
+        if self.attempts < 0:
+            raise ValueError("attempts must be non-negative")
+        if self.status is CrawlStatus.STORED and self.paper_count is None:
+            raise ValueError("stored log needs paper_count")
+        if self.status is CrawlStatus.FAILED and not self.last_error:
+            raise ValueError("failed log needs last_error")
+        if self.status is not CrawlStatus.PENDING and self.attempts < 1:
+            raise ValueError("non-pending log needs attempts >= 1")
+        if self.paper_count is not None and self.paper_count < 0:
+            raise ValueError("paper_count must be non-negative")
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,20 +200,16 @@ class ConferenceRecord:
     crawl_log: CrawlLog = field(default_factory=CrawlLog)
 
     def __post_init__(self) -> None:
-        _require(
-            VENUE_KEY_RE.match(self.venue_key) is not None,
-            f"venue_key {self.venue_key!r} must match [a-z0-9_-]+",
-        )
-        _require(
-            YEAR_MIN <= self.year <= YEAR_MAX,
-            f"year {self.year} outside [{YEAR_MIN}, {YEAR_MAX}]",
-        )
-        _require(
-            self.conf_id == make_conf_id(self.venue_key, self.year),
-            f"conf_id {self.conf_id!r} != {self.venue_key}-{self.year}",
-        )
-        _require(bool(self.title), "title must be non-empty")
-        _require(is_absolute_url(self.url), f"url {self.url!r} must be absolute")
+        if VENUE_KEY_RE.match(self.venue_key) is None:
+            raise ValueError(f"venue_key {self.venue_key!r} must match [a-z0-9_-]+")
+        if not YEAR_MIN <= self.year <= YEAR_MAX:
+            raise ValueError(f"year {self.year} outside [{YEAR_MIN}, {YEAR_MAX}]")
+        if self.conf_id != make_conf_id(self.venue_key, self.year):
+            raise ValueError(f"conf_id {self.conf_id!r} != {self.venue_key}-{self.year}")
+        if not self.title:
+            raise ValueError("title must be non-empty")
+        if not is_absolute_url(self.url):
+            raise ValueError(f"url {self.url!r} must be absolute")
 
 
 @dataclass(frozen=True, slots=True)

@@ -202,17 +202,16 @@ class PaperList:
                 key = f"{base}-{n}"
                 n += 1
             used.add(key)
-            fields = [
-                ("author", " and ".join(a.full for a in p.authors)),
-                ("title", p.title),
-                ("year", str(p.year)),
-                ("booktitle", f"Proceedings of {p.venue_key.upper()} {p.year}"),
-                ("url", p.page_url),
-            ]
-            body = ",\n".join(
-                f"  {name} = {{{_bib_escape(value)}}}" for name, value in fields if value
-            )
-            chunks.append(f"@inproceedings{{{key},\n{body}\n}}")
+            # Of the fields, only author can be empty (see PaperRecord's checks).
+            author = " and ".join([a.full for a in p.authors])
+            author = f"  author = {{{_bib_escape(author)}}},\n" if author else ""
+            chunks.append(
+                f"@inproceedings{{{key},\n{author}"
+                f"  title = {{{_bib_escape(p.title)}}},\n"
+                f"  year = {{{p.year}}},\n"
+                f"  booktitle = {{Proceedings of "
+                f"{_bib_escape(p.venue_key.upper())} {p.year}}},\n"
+                f"  url = {{{_bib_escape(p.page_url)}}}\n}}")
         return "\n\n".join(chunks) + ("\n" if chunks else "")
 
 

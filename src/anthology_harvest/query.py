@@ -47,6 +47,7 @@ AGGREGATES = ("count", "min", "max", "avg", "sum", "distinct_count")
 _RESERVED_IDENTIFIERS = {"desc"}
 
 COUNT_PSEUDO_COLUMN = "count"
+_PAPER_COLUMN_SET = frozenset(PAPER_COLUMNS)
 
 
 def _ident(name: str) -> str:
@@ -472,10 +473,8 @@ def hydrate_papers(rows: Sequence[Mapping]) -> PaperList:
     Raises:
         MissingColumn: if the rows carry only a partial projection.
     """
-    records = []
     for row in rows:
-        missing = [c for c in PAPER_COLUMNS if c not in row.keys()]
-        if missing:
+        if not _PAPER_COLUMN_SET <= row.keys():
+            missing = [c for c in PAPER_COLUMNS if c not in row.keys()]
             raise MissingColumn(f"rows lack columns {missing}; select the full row")
-        records.append(paper_from_row(row))
-    return PaperList.from_iterable(records)
+    return PaperList.from_iterable(map(paper_from_row, rows))

@@ -345,8 +345,8 @@ class CrawlSession:
                 self._papers_stored += log.paper_count or 0
             else:
                 self._failed += 1
-        print(f"{conf.conf_id} {log.status.value} {log.paper_count or 0} {elapsed_ms}",
-              file=sys.stderr)
+        status = "unchanged" if unchanged else log.status.value
+        print(f"{conf.conf_id} {status} {log.paper_count or 0} {elapsed_ms}", file=sys.stderr)
 
     def prepare(self) -> int:
         """Discover and plan the tasks; returns the task count.

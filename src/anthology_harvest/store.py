@@ -106,6 +106,7 @@ CONFERENCE_COLUMNS = (
 INT_COLUMNS = {"year", "attempts", "paper_count"}
 PRIMARY_KEYS = {"paper": "anthology_id", "conference": "conf_id"}
 TABLE_COLUMNS = {"paper": PAPER_COLUMNS, "conference": CONFERENCE_COLUMNS}
+_decode_json = json.JSONDecoder().decode
 
 
 @dataclass(frozen=True)
@@ -209,7 +210,8 @@ class Store:
             raise StoreUnavailable(f"store at {self.path} is closed")
 
     def execute_sql(self, sql: str, params: Sequence = ()) -> list[dict]:
-        """Run one read query; rows come back as column->value dicts."""
+        """Run one read query; rows come back as column->value dicts.  A name
+        reads the first column equal to it up to ASCII case, as in ``sqlite3.Row``."""
         with self._lock:
             self._check_open()
             try:
@@ -217,7 +219,11 @@ class Store:
                 rows = cur.fetchall()
             except sqlite3.Error as exc:
                 raise StoreUnavailable(f"query failed: {exc}") from exc
-        return [dict(row) for row in rows]
+        names = [column[0] for column in cur.description or ()]  # None: no result columns
+        if len({name.lower() for name in names}) < len(names):
+            folded = [name.lower() if name.isascii() else name for name in names]
+            rows = [[row[folded.index(name)] for name in folded] for row in rows]
+        return [dict(zip(names, row)) for row in rows]
 
     def execute_scalar(self, sql: str, params: Sequence = ()):
         with self._lock:
@@ -267,7 +273,6 @@ def init_schema(cfg: StoreConfig) -> Store:
         conn = sqlite3.connect(path, check_same_thread=False)
     except sqlite3.Error as exc:
         raise StoreUnavailable(f"cannot open database at {path}: {exc}") from exc
-    conn.row_factory = sqlite3.Row
     conn.isolation_level = None  # explicit transaction control
     conn.create_function("like", 2, _like_casefold, deterministic=True)
     conn.create_function("casefold", 1, _casefold, deterministic=True)
@@ -444,21 +449,26 @@ def paper_from_row(row: Mapping) -> PaperRecord:
     """Hydrate one paper row from its stored display and normalized names.
 
     Raises:
-        ValueError: the two author arrays differ in length.
+        ValueError: ``stored paper <anthology_id>: <reason>``; the row fails a check.
     """
-    names = zip(json.loads(row["authors"]), json.loads(row["authors_normalized"]),
-                strict=True)
-    return PaperRecord(
-        anthology_id=row["anthology_id"],
-        title=row["title"],
-        authors=tuple(AuthorName(full=full, normalized=norm) for full, norm in names),
-        venue_key=row["venue_key"],
-        year=row["year"],
-        page_url=row["page_url"],
-        pdf_url=row["pdf_url"],
-        abstract=row["abstract"],
-        bibkey=row["bibkey"],
-    )
+    try:
+        full = _decode_json(row["authors"])
+        normalized = _decode_json(row["authors_normalized"])
+        if len(full) != len(normalized):
+            raise ValueError(f"{len(full)} authors but {len(normalized)} normalized names")
+        return PaperRecord(
+            anthology_id=row["anthology_id"],
+            title=row["title"],
+            authors=tuple(map(AuthorName, full, normalized)),
+            venue_key=row["venue_key"],
+            year=row["year"],
+            page_url=row["page_url"],
+            pdf_url=row["pdf_url"],
+            abstract=row["abstract"],
+            bibkey=row["bibkey"],
+        )
+    except ValueError as exc:
+        raise ValueError(f"stored paper {row['anthology_id']}: {exc}") from exc
 
 
 def conference_from_row(row: Mapping) -> ConferenceRecord:
@@ -550,12 +560,11 @@ def stats_stored(h: Store, dims: Iterable[str]) -> dict:
         count = "COUNT(DISTINCT anthology_id)"
     else:
         source, count = "paper", "COUNT(*)"
-    rows = h.execute_sql(
-        f"SELECT {columns}, {count} FROM {source} GROUP BY {columns}")
-    paths = sorted((tuple(row.values()) for row in rows),
-                   key=lambda path: [str(k) for k in path[:-1]])
+    # SQL's order is paperlist.stats's str(key) order: four-digit years, code-point text.
     tree: dict = {}
-    for *keys, n in paths:
+    for row in h.execute_sql(f"SELECT {columns}, {count} FROM {source} "
+                             f"GROUP BY {columns} ORDER BY {columns}"):
+        *keys, n = row.values()
         node = tree
         for depth, key in enumerate(keys):
             if key is None:  # no author: the branch above exists, nothing below

@@ -1,7 +1,11 @@
 import csv
 import io
 import json
+import os
 import shutil
+import sqlite3
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,7 +13,9 @@ import pytest
 from anthology_harvest.cli import main
 from anthology_harvest.config import CrawlDefaults, load_config
 from anthology_harvest.store import StoreConfig
-from conftest import FIXTURES, copy_without_base
+from conftest import FIXTURES, REPO_ROOT, copy_without_base
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture
@@ -157,6 +163,11 @@ class TestHarvest:
         assert status == "stored"
         assert int(papers) > 0 and int(ms) >= 0
 
+    def test_reharvest_progress_says_unchanged(self, harvested, capsys):
+        assert main(["harvest", "--source", f"fixture:{FIXTURES}"]) == 0
+        statuses = [line.split()[1] for line in capsys.readouterr().err.splitlines()]
+        assert statuses == ["unchanged"] * 25
+
 
 class TestQuery:
     def test_listing_flags_json(self, harvested, capsys):
@@ -202,6 +213,34 @@ class TestQuery:
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert len(rows) == 5
         assert "anthology_id" in rows[0]
+
+    @pytest.mark.parametrize("fmt, golden", [
+        ("bibtex", "fixture_query.bib"), ("csv", "fixture_query.csv"),
+        ("json", "fixture_query.jsonl")])
+    def test_export_matches_golden(self, harvested, capsys, fmt, golden):
+        assert main(["query", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert out == (GOLDEN / golden).read_bytes().decode("utf-8")
+
+
+@pytest.mark.parametrize("argv", [
+    ["query", "--format", "json"], ["filter", "--years", "2000..2030", "--format", "json"]])
+def test_stored_row_failing_a_check_is_an_error(harvested, argv):
+    conn = sqlite3.connect(harvested / "aclanthology.db")
+    with conn:
+        conn.execute("INSERT INTO paper (anthology_id, title, authors, authors_normalized, "
+                     "venue_key, year, page_url) VALUES ('2022.bad-1', 'Bad', '[]', '[]', "
+                     "'acl', 2022, 'not-a-url')")
+    conn.close()
+    done = subprocess.run(
+        [sys.executable, "-m", "anthology_harvest.cli", *argv], capture_output=True,
+        text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"), AAH_DB=str(harvested)))
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert done.stderr == ("error: stored paper 2022.bad-1: "
+                           "page_url 'not-a-url' must be absolute\n")
+    assert done.stdout == ""
 
 
 SEVEN_FLAGS = [

@@ -1,8 +1,9 @@
 """The package loads each module on first use.
 
 So ``import anthology_harvest`` is cheap, the retrieval commands never load
-the crawler, and the mock server never loads the store.  Each check runs in
-a fresh interpreter, because this process has already imported everything.
+the crawler, and the mock server never loads the store or the fetcher.  Each
+check runs in a fresh interpreter, because this process has already imported
+everything.
 """
 import json
 import os
@@ -68,7 +69,13 @@ for argv in (["query", "--limit", "5", "--format", "json"],
 def test_mock_server_does_not_load_the_store():
     modules = loaded("from anthology_harvest.mockserver import ScriptedCorpusServer")
     assert not modules & {"anthology_harvest.store", "anthology_harvest.scheduler",
-                          "anthology_harvest.parser", "sqlite3"}
+                          "anthology_harvest.parser", "anthology_harvest.fetcher",
+                          "sqlite3"}
+
+
+def test_mock_server_start_header_is_the_fetchers():
+    from anthology_harvest import fetcher, mockserver
+    assert mockserver.START_HEADER == fetcher.START_HEADER
 
 
 def test_every_exported_name_and_module_resolves():

@@ -151,3 +151,41 @@ class TestCrawlLog:
     def test_non_pending_needs_attempts(self):
         with pytest.raises(ValueError):
             CrawlLog(status=CrawlStatus.STORED, attempts=0, paper_count=0)
+
+
+_PAPER = dict(anthology_id="x.1", title="T", authors=(), venue_key="acl", year=2022,
+              page_url="https://anthology.test/x.1/")
+_CONFERENCE = dict(conf_id="acl-2022", venue_key="acl", year=2022, title="T",
+                   url="https://anthology.test/acl-2022.html", category=Category.ACL_EVENT)
+
+
+@pytest.mark.parametrize("record, fields, message", [
+    (PaperRecord, dict(anthology_id=""), "anthology_id must be non-empty"),
+    (PaperRecord, dict(title=""), "title must be non-empty"),
+    (PaperRecord, dict(venue_key="ACL"), "venue_key 'ACL' must match [a-z0-9_-]+"),
+    (PaperRecord, dict(year=1800), "year 1800 outside [1950, 2100]"),
+    (PaperRecord, dict(year=2101), "year 2101 outside [1950, 2100]"),
+    (PaperRecord, dict(page_url="not-a-url"), "page_url 'not-a-url' must be absolute"),
+    (PaperRecord, dict(pdf_url="x.pdf"), "pdf_url 'x.pdf' must be absolute"),
+    # Several failures: the first check in declaration order names the error.
+    (PaperRecord, dict(title="", year=1800, page_url="x"), "title must be non-empty"),
+    (PaperRecord, dict(year=1800, page_url="x"), "year 1800 outside [1950, 2100]"),
+    (ConferenceRecord, dict(venue_key="ACL"), "venue_key 'ACL' must match [a-z0-9_-]+"),
+    (ConferenceRecord, dict(year=1800), "year 1800 outside [1950, 2100]"),
+    (ConferenceRecord, dict(conf_id="acl-2021"), "conf_id 'acl-2021' != acl-2022"),
+    (ConferenceRecord, dict(title=""), "title must be non-empty"),
+    (ConferenceRecord, dict(url="relative"), "url 'relative' must be absolute"),
+    (ConferenceRecord, dict(title="", url="relative"), "title must be non-empty"),
+    (CrawlLog, dict(attempts=-1), "attempts must be non-negative"),
+    (CrawlLog, dict(status=CrawlStatus.STORED, attempts=1), "stored log needs paper_count"),
+    (CrawlLog, dict(status=CrawlStatus.FAILED, attempts=1), "failed log needs last_error"),
+    (CrawlLog, dict(status=CrawlStatus.STORED, paper_count=0),
+     "non-pending log needs attempts >= 1"),
+    (CrawlLog, dict(paper_count=-1), "paper_count must be non-negative"),
+    (CrawlLog, dict(status=CrawlStatus.FAILED, attempts=-1), "attempts must be non-negative"),
+])
+def test_record_checks_raise_their_exact_message(record, fields, message):
+    defaults = {PaperRecord: _PAPER, ConferenceRecord: _CONFERENCE, CrawlLog: {}}[record]
+    with pytest.raises(ValueError) as info:
+        record(**{**defaults, **fields})
+    assert str(info.value) == message

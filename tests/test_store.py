@@ -93,6 +93,25 @@ def _digest(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+class TestExecuteSql:
+    """Rows come back as dicts keyed the way ``sqlite3.Row`` resolves names: a
+    name reads the first column equal to it, ASCII letters compared
+    case-insensitively."""
+
+    @pytest.mark.parametrize("sql, rows", [
+        ("SELECT 1 AS x, 2 AS x, 3 AS X", [{"x": 1, "X": 1}]),
+        ("SELECT 1 AS a, 2 AS \"A\", 3 AS b", [{"a": 1, "A": 1, "b": 3}]),
+        ("SELECT 1 AS \"É\", 2 AS \"é\", 3 AS \"É\"", [{"É": 1, "é": 2}]),
+        ("SELECT 1 AS x, 2 AS y UNION ALL SELECT 3, 4", [{"x": 1, "y": 2}, {"x": 3, "y": 4}]),
+        ("SELECT anthology_id FROM paper", []),
+        ("CREATE TEMP TABLE scratch (x)", []),
+    ])
+    def test_rows_as_dicts(self, mem_store, sql, rows):
+        result = mem_store.execute_sql(sql)
+        assert result == rows
+        assert [list(row) for row in result] == [list(row) for row in rows]
+
+
 class TestMigration:
     def test_version0_store_migrates_once(self, tmp_path):
         path = tmp_path / "old.db"
@@ -467,6 +486,13 @@ class TestLoadAll:
         assert len(loaded) == len(papers)
         for rec in papers:
             assert loaded[rec.anthology_id] == rec
+
+    def test_hydration_error_names_the_row(self, mem_store):
+        upsert_papers(mem_store, [make_paper(aid="x.1")])
+        mem_store._conn.execute("UPDATE paper SET page_url = 'not-a-url'")
+        with pytest.raises(ValueError,
+                           match=r"^stored paper x\.1: page_url 'not-a-url' must be absolute$"):
+            load_all_papers(mem_store)
 
     def test_key_uniqueness_is_enforced(self, mem_store):
         upsert_papers(mem_store, [make_paper(aid="x.1", title="One")])
