@@ -15,7 +15,7 @@ from urllib.parse import urlparse
 
 from .errors import EmptyInput
 
-VENUE_KEY_RE = re.compile(r"^[a-z0-9_-]+$")
+VENUE_KEY_RE = re.compile(r"[a-z0-9_-]+")  # matched with fullmatch
 YEAR_MIN = 1950
 YEAR_MAX = 2100
 
@@ -93,7 +93,8 @@ def normalize_author(full: str) -> AuthorName:
     collapse_whitespace(trim(drop_controls(full))).
 
     Raises:
-        EmptyInput: if ``full`` is empty after dropping controls and trimming.
+        EmptyInput: if ``full`` or ``normalized`` would be empty (``"´"``
+            decomposes to a space and a combining mark).
     """
     trimmed = _C0_RE.sub("", full).strip() if full else ""
     if not trimmed:
@@ -106,6 +107,8 @@ def normalize_author(full: str) -> AuthorName:
     # Compatibility decomposition can itself introduce whitespace (e.g. a
     # spacing macron decomposes to space + combining mark), so collapse again.
     normalized = _WS_RE.sub(" ", _strip_diacritics(collapsed).casefold()).strip()
+    if not normalized:
+        raise EmptyInput(f"author name {full!r} is empty once normalized")
     return AuthorName(full=collapsed, normalized=normalized)
 
 
@@ -152,7 +155,10 @@ class PaperRecord:
             raise ValueError("anthology_id must be non-empty")
         if not self.title:
             raise ValueError("title must be non-empty")
-        if VENUE_KEY_RE.match(self.venue_key) is None:
+        for author in self.authors:
+            if not author.normalized or author.normalized.isspace():
+                raise ValueError(f"blank normalized name of author {author.full!r}")
+        if VENUE_KEY_RE.fullmatch(self.venue_key) is None:
             raise ValueError(f"venue_key {self.venue_key!r} must match [a-z0-9_-]+")
         if not YEAR_MIN <= self.year <= YEAR_MAX:
             raise ValueError(f"year {self.year} outside [{YEAR_MIN}, {YEAR_MAX}]")
@@ -200,7 +206,7 @@ class ConferenceRecord:
     crawl_log: CrawlLog = field(default_factory=CrawlLog)
 
     def __post_init__(self) -> None:
-        if VENUE_KEY_RE.match(self.venue_key) is None:
+        if VENUE_KEY_RE.fullmatch(self.venue_key) is None:
             raise ValueError(f"venue_key {self.venue_key!r} must match [a-z0-9_-]+")
         if not YEAR_MIN <= self.year <= YEAR_MAX:
             raise ValueError(f"year {self.year} outside [{YEAR_MIN}, {YEAR_MAX}]")

@@ -10,11 +10,12 @@ request count, and the store's serialized write path; everything else they
 touch is immutable.  The connection pool keeps at most one idle connection
 per worker and origin, and is closed once the workers have stopped.
 
-All writes for one task go to the store as a single atomic batch, so the
-persisted record set is independent of the worker count.  A permanently
-failing task is recorded as failed and never blocks the others.  After the
-workers finish, the store's log is checkpointed into its file; a checkpoint
-that a reader blocks is logged, and the crawl's writes stay in the log.
+A worker writes each task's rows, all or nothing, into the store's open
+transaction and goes on; the calling thread commits them in groups, and a
+task counts as stored once its group is committed.  A permanently failing
+task is recorded as failed and never blocks the others.  After the workers
+finish, the store's log is checkpointed into its file; a checkpoint that a
+reader blocks is logged, and the crawl's writes stay in the log.
 
 Each stored conference keeps a digest of every page it was parsed from.  A
 re-run still fetches every page, but while each page's digest matches the
@@ -25,6 +26,7 @@ parser re-parses everything once.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -33,12 +35,12 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import htmldoc, model, parser, store as store_mod
-from .errors import EmptyInput, EmptyPlan, FetchError, HarvestError, StoreUnavailable
+from .errors import EmptyInput, EmptyPlan, FetchError, StoreUnavailable
 from .fetcher import ConnectionPool, FetchPolicy, RateGate, Source, fetch
 from .model import (
     Category,
@@ -84,25 +86,7 @@ class CrawlReport:
     requests: int = 0  # every request attempt of the crawl, discovery included
 
     def to_json(self) -> str:
-        return json.dumps({
-            "tasks_total": self.tasks_total,
-            "tasks_succeeded": self.tasks_succeeded,
-            "tasks_failed": self.tasks_failed,
-            "tasks_unchanged": self.tasks_unchanged,
-            "papers_stored": self.papers_stored,
-            "requests": self.requests,
-            "wall_ms": self.wall_ms,
-            "per_conference": {
-                conf_id: {
-                    "status": log.status.value,
-                    "attempts": log.attempts,
-                    "last_error": log.last_error,
-                    "fetched_at": log.fetched_at,
-                    "paper_count": log.paper_count,
-                }
-                for conf_id, log in sorted(self.per_conference.items())
-            },
-        }, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def plan_tasks(config: CrawlConfig,
@@ -134,10 +118,6 @@ def plan_tasks(config: CrawlConfig,
     return sorted(picked.values(), key=lambda r: (r.venue_key, r.year))
 
 
-def _utc_now_iso() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
 @functools.cache
 def _extractor_key() -> bytes:
     """A digest of the Python version and the source of the modules that
@@ -147,6 +127,11 @@ def _extractor_key() -> bytes:
     for module in (parser, htmldoc, model):
         key.update(Path(module.__file__).read_bytes())
     return key.digest()
+
+
+def _failed_log(exc: Exception, attempts: int) -> CrawlLog:
+    return CrawlLog(status=CrawlStatus.FAILED, attempts=max(attempts, 1),
+                    last_error=f"{type(exc).__name__}: {exc}")
 
 
 def page_digest(url: str, body: bytes, conf: ConferenceRecord | None = None) -> bytes:
@@ -182,6 +167,9 @@ class CrawlSession:
         self._executor = ThreadPoolExecutor(config.workers, thread_name_prefix="crawl")
         self._lock = threading.Lock()
         self._cancel = threading.Event()
+        # (conf, log, started, unchanged) of each task written since the last commit.
+        self._written: list[tuple[ConferenceRecord, CrawlLog, float, bool]] = []
+        self._handed = threading.Condition(handle.lock)
         self._plan: list[ConferenceRecord] | None = None
         self._requests = 0
         self._succeeded = 0
@@ -194,7 +182,7 @@ class CrawlSession:
     # -- monitoring --------------------------------------------------------
 
     def snapshot(self) -> tuple[int, int, int]:
-        """(done, total, failed); done counts successfully stored tasks."""
+        """(done, total, failed); done counts tasks whose group is committed."""
         with self._lock:
             return self._succeeded, len(self._plan or ()), self._failed
 
@@ -306,37 +294,42 @@ class CrawlSession:
         return list(merged.values())
 
     def _run_task(self, conf: ConferenceRecord) -> None:
-        started = time.monotonic()
-        if self._cancel.is_set():
-            self._finish(conf, CrawlLog(status=CrawlStatus.FAILED, attempts=1,
-                                        last_error="cancelled"), started)
-            return
-        pages = _Pages()
+        started, pages, papers = time.monotonic(), _Pages(), None
+        cancelled = self._cancel.is_set()
+        log = CrawlLog(status=CrawlStatus.FAILED, attempts=1, last_error="cancelled")
         try:
-            papers = self._fetch_and_parse(conf, pages)
-            count = (self._stored[conf.conf_id].paper_count if papers is None
-                     else len(papers))
-            log = CrawlLog(status=CrawlStatus.STORED, attempts=pages.attempts,
-                           fetched_at=_utc_now_iso(), paper_count=count)
-            store_mod.upsert_crawl_batch(self.handle, replace(conf, crawl_log=log),
-                                         papers or [], bytes(pages.digests), pages.hop_urls)
+            if not cancelled:
+                papers = self._fetch_and_parse(conf, pages)
+                count = (self._stored[conf.conf_id].paper_count if papers is None
+                         else len(papers))
+                now = datetime.now(timezone.utc).isoformat(timespec="seconds")
+                log = CrawlLog(status=CrawlStatus.STORED, attempts=pages.attempts,
+                               fetched_at=now, paper_count=count)
         except Exception as exc:  # failure isolation: record, never propagate
-            if isinstance(exc, StoreUnavailable):
-                # The store is gone: drain what's left instead of hammering it.
-                self._cancel.set()
-            log = CrawlLog(status=CrawlStatus.FAILED, attempts=max(pages.attempts, 1),
-                           last_error=f"{type(exc).__name__}: {exc}")
+            log = _failed_log(exc, pages.attempts)
+        # One step under the store's write lock: a commit holds the rows of
+        # exactly the tasks handed over before it.
+        with self._handed:
             try:
-                store_mod.upsert_conference(self.handle, replace(conf, crawl_log=log))
-            except HarvestError:
-                pass
-            self._finish(conf, log, started)
-            return
-        self._finish(conf, log, started, unchanged=papers is None)
+                if log.status is CrawlStatus.STORED:
+                    store_mod.upsert_crawl_batch(
+                        self.handle, replace(conf, crawl_log=log), papers or [],
+                        bytes(pages.digests), pages.hop_urls, commit=False)
+                elif not cancelled:
+                    store_mod.upsert_conference(self.handle, replace(conf, crawl_log=log),
+                                                commit=False)
+            except Exception as exc:  # its own savepoint is rolled back
+                if isinstance(exc, StoreUnavailable):
+                    self._cancel.set()  # the store is gone: drain what's left
+                if log.status is CrawlStatus.STORED:
+                    log = _failed_log(exc, log.attempts)
+            self._written.append((conf, log, started, papers is None))
+            self._handed.notify()
 
     def _finish(self, conf: ConferenceRecord, log: CrawlLog, started: float,
                 unchanged: bool = False) -> None:
         elapsed_ms = int((time.monotonic() - started) * 1000)
+        unchanged = unchanged and log.status is CrawlStatus.STORED
         with self._lock:
             self._per_conference[conf.conf_id] = log
             if log.status is CrawlStatus.STORED:
@@ -369,17 +362,39 @@ class CrawlSession:
         return len(plan)
 
     def execute(self) -> CrawlReport:
-        """Run the prepared tasks to completion on the worker pool, stop the
-        workers and close the session's connections, then checkpoint the
-        store, so that its file alone holds the crawl."""
+        """Run the prepared tasks on the worker pool while this thread commits
+        their writes, stop the workers and close the session's connections,
+        then checkpoint the store, so that its file alone holds the crawl."""
         if self._plan is None:
             raise RuntimeError("call prepare() before execute()")
         t0 = time.monotonic()
         try:
-            list(self._executor.map(self._run_task, self._plan))
+            for conf in self._plan:
+                self._executor.submit(self._run_task, conf)
+            left, workers = len(self._plan), self.config.workers
+            # Once as many tasks as there are workers (or all that are left)
+            # are written, commit them as one group, then finish them.
+            while left:
+                with self._handed:
+                    self._handed.wait_for(lambda: len(self._written) >= min(workers, left))
+                    group, self._written = self._written, []
+                    try:
+                        self.handle.commit()
+                        error = None
+                    except StoreUnavailable as exc:
+                        self._cancel.set()
+                        error = exc
+                for conf, log, started, unchanged in group:
+                    if error is not None and log.status is CrawlStatus.STORED:
+                        log = _failed_log(error, log.attempts)
+                    self._finish(conf, log, started, unchanged)
+                left -= len(group)
         finally:
-            self._executor.shutdown()
+            self._executor.shutdown(cancel_futures=True)
             self._pool.close()
+            # An interrupted run commits what its workers wrote.
+            with contextlib.suppress(StoreUnavailable):
+                self.handle.commit()
         try:
             self.handle.checkpoint()
         except StoreUnavailable as exc:

@@ -1,10 +1,10 @@
 """SQLite-backed persistence for the two-table conference/paper schema.
 
-The store is defined against plain standard SQL so another relational
-backend can sit behind the same interface; the embedded SQLite
-implementation keeps tests hermetic.  All mutations go through one
-serialized write path (a lock around a single connection), which is the
-synchronization contract the crawler relies on.
+All mutations go through one serialized write path (``Store.lock``
+around a single connection), which is the synchronization contract the
+crawler relies on.  A crawl commits in groups: each task's batch goes into
+the one open transaction, in a savepoint, and the crawl's calling thread
+commits what has been written, one sync per group.
 
 A file store runs in SQLite's write-ahead-log mode: a commit appends to
 ``<name>.db-wal`` and syncs it once (``synchronous`` stays ``FULL``), and
@@ -171,12 +171,13 @@ class Store:
 
     def __init__(self, conn: sqlite3.Connection, path: str):
         self._conn = conn
-        self._lock = threading.RLock()
+        self.lock = threading.RLock()
         self.path = path
         self._closed = False
+        self._lost = False  # SQLite rolled back writes left for commit()
 
     def close(self) -> None:
-        with self._lock:
+        with self.lock:
             if not self._closed:
                 self._conn.close()
                 self._closed = True
@@ -196,7 +197,7 @@ class Store:
                 older snapshot kept it from finishing.  The log's pages are
                 durable either way.
         """
-        with self._lock:
+        with self.lock:
             self._check_open()
             try:
                 busy = self._conn.execute("PRAGMA wal_checkpoint(TRUNCATE)").fetchone()[0]
@@ -212,7 +213,7 @@ class Store:
     def execute_sql(self, sql: str, params: Sequence = ()) -> list[dict]:
         """Run one read query; rows come back as column->value dicts.  A name
         reads the first column equal to it up to ASCII case, as in ``sqlite3.Row``."""
-        with self._lock:
+        with self.lock:
             self._check_open()
             try:
                 cur = self._conn.execute(sql, tuple(params))
@@ -226,7 +227,7 @@ class Store:
         return [dict(zip(names, row)) for row in rows]
 
     def execute_scalar(self, sql: str, params: Sequence = ()):
-        with self._lock:
+        with self.lock:
             self._check_open()
             try:
                 row = self._conn.execute(sql, tuple(params)).fetchone()
@@ -236,24 +237,51 @@ class Store:
 
     # -- write path (serialized) --------------------------------------------
 
-    def _write_batch(self, statements: Iterable[tuple[str, Sequence]]) -> None:
-        """Apply statements in one transaction: all or nothing."""
-        with self._lock:
+    def _write_batch(self, statements: Iterable[tuple[str, Sequence]],
+                     commit: bool = True) -> None:
+        """Apply statements all or nothing, in a savepoint; committed unless
+        ``commit`` is false or they joined an open transaction (a crawl's),
+        which is then left for ``commit()``."""
+        with self.lock:
             self._check_open()
+            began = not self._conn.in_transaction
             try:
-                self._conn.execute("BEGIN IMMEDIATE")
-            except sqlite3.Error as exc:
-                raise StoreUnavailable(f"cannot begin transaction: {exc}") from exc
-            try:
+                if began:
+                    self._conn.execute("BEGIN IMMEDIATE")
+                self._conn.execute("SAVEPOINT batch")
                 for sql, params in statements:
                     self._conn.execute(sql, tuple(params))
-                self._conn.execute("COMMIT")
-            except Exception as exc:
-                if self._conn.in_transaction:
+                self._conn.execute("RELEASE batch")
+                if began and commit:
+                    self._conn.execute("COMMIT")
+            except BaseException as exc:
+                if not self._conn.in_transaction:  # SQLite rolled it all back
+                    self._lost |= not began
+                elif began:
                     self._conn.execute("ROLLBACK")
+                else:
+                    self._conn.execute("ROLLBACK TO batch")
+                    self._conn.execute("RELEASE batch")
                 if isinstance(exc, sqlite3.Error):
                     raise StoreUnavailable(f"write failed: {exc}") from exc
                 raise
+
+    def commit(self) -> None:
+        """Commit the open transaction, if any.  If that fails, or SQLite
+        rolled back a write since the last commit, nothing written since is
+        stored, and StoreUnavailable is raised."""
+        with self.lock:
+            self._check_open()
+            try:
+                if self._lost:
+                    raise StoreUnavailable("a failed write rolled the transaction back")
+                if self._conn.in_transaction:
+                    self._conn.execute("COMMIT")
+            except (sqlite3.Error, StoreUnavailable) as exc:
+                self._lost = False
+                if self._conn.in_transaction:
+                    self._conn.execute("ROLLBACK")
+                raise StoreUnavailable(f"commit failed: {exc}") from exc
 
 
 def init_schema(cfg: StoreConfig) -> Store:
@@ -369,38 +397,19 @@ _PAPER_UPSERT = (
 )
 
 
-def upsert_conference(h: Store, rec: ConferenceRecord) -> str:
+def upsert_conference(h: Store, rec: ConferenceRecord, commit: bool = True) -> None:
     """Insert or replace the row keyed by conf_id, with no page digests;
-    returns 'inserted'/'updated', counted under the write lock."""
-    with h._lock:
-        existing = h.execute_scalar("SELECT COUNT(*) FROM conference WHERE conf_id = ?",
-                                    (rec.conf_id,))
-        h._write_batch([(_CONFERENCE_UPSERT, _conference_row(rec))])
-    return "updated" if existing else "inserted"
+    ``commit`` as for ``Store._write_batch``."""
+    h._write_batch([(_CONFERENCE_UPSERT, _conference_row(rec))], commit)
 
 
-def _write_papers(h: Store, papers: Iterable[PaperRecord],
-                  head: Sequence[tuple[str, Sequence]] = ()) -> tuple[int, int]:
-    """Write ``head`` and the papers in one transaction; returns (inserted,
-    updated) papers, counted under the write lock.
-
-    Raises:
-        DuplicateInBatch: two records share an anthology_id; nothing written.
-    """
-    papers = list(papers)
+def _paper_upserts(papers: Sequence[PaperRecord]) -> list[tuple[str, tuple]]:
+    """Raises DuplicateInBatch when two records share an anthology_id."""
     ids = [p.anthology_id for p in papers]
     if len(ids) != len(set(ids)):
         dupes = sorted({i for i in ids if ids.count(i) > 1})
         raise DuplicateInBatch(f"duplicate anthology_id in batch: {dupes}")
-    statements = [*head, *((_PAPER_UPSERT, _paper_row(p)) for p in papers)]
-    with h._lock:
-        existing = 0
-        if ids:
-            placeholders = ", ".join("?" for _ in ids)
-            existing = h.execute_scalar(
-                f"SELECT COUNT(*) FROM paper WHERE anthology_id IN ({placeholders})", ids)
-        h._write_batch(statements)
-    return len(papers) - existing, existing
+    return [(_PAPER_UPSERT, _paper_row(p)) for p in papers]
 
 
 def upsert_papers(h: Store, recs: Sequence[PaperRecord]) -> tuple[int, int]:
@@ -411,17 +420,24 @@ def upsert_papers(h: Store, recs: Sequence[PaperRecord]) -> tuple[int, int]:
     Raises:
         DuplicateInBatch: two records share an anthology_id; nothing written.
     """
-    return _write_papers(h, recs)
+    recs = list(recs)
+    statements = _paper_upserts(recs)
+    with h.lock:
+        existing = h.execute_scalar("SELECT COUNT(*) FROM paper WHERE anthology_id IN "
+                                    f"({', '.join('?' * len(recs))})",
+                                    [p.anthology_id for p in recs])
+        h._write_batch(statements)
+    return len(recs) - existing, existing
 
 
 def upsert_crawl_batch(h: Store, conference: ConferenceRecord,
                        papers: Sequence[PaperRecord], page_digests: bytes | None = None,
-                       hop_urls: Sequence[str] = ()) -> tuple[int, int]:
+                       hop_urls: Sequence[str] = (), commit: bool = True) -> None:
     """One crawl task's writes -- conference row, with the digests of the
-    pages it was parsed from, plus its papers -- in a single atomic
-    transaction; returns (inserted, updated) papers."""
+    pages it was parsed from, plus its papers -- as one batch, all or
+    nothing; ``commit`` as for ``Store._write_batch``."""
     row = _conference_row(conference, page_digests, hop_urls)
-    return _write_papers(h, papers, [(_CONFERENCE_UPSERT, row)])
+    h._write_batch([(_CONFERENCE_UPSERT, row), *_paper_upserts(papers)], commit)
 
 
 class StoredPages(NamedTuple):
@@ -472,23 +488,13 @@ def paper_from_row(row: Mapping) -> PaperRecord:
 
 
 def conference_from_row(row: Mapping) -> ConferenceRecord:
+    log = CrawlLog(status=CrawlStatus(row["status"]), attempts=row["attempts"],
+                   last_error=row["last_error"], fetched_at=row["fetched_at"],
+                   paper_count=row["paper_count"])
     return ConferenceRecord(
-        conf_id=row["conf_id"],
-        venue_key=row["venue_key"],
-        year=row["year"],
-        title=row["title"],
-        desc=row["desc"],
-        url=row["url"],
-        category=Category(row["category"]),
-        kind=Kind(row["kind"]),
-        crawl_log=CrawlLog(
-            status=CrawlStatus(row["status"]),
-            attempts=row["attempts"],
-            last_error=row["last_error"],
-            fetched_at=row["fetched_at"],
-            paper_count=row["paper_count"],
-        ),
-    )
+        conf_id=row["conf_id"], venue_key=row["venue_key"], year=row["year"],
+        title=row["title"], desc=row["desc"], url=row["url"],
+        category=Category(row["category"]), kind=Kind(row["kind"]), crawl_log=log)
 
 
 _PAPER_ORDER = " ORDER BY year, venue_key, anthology_id"

@@ -243,6 +243,24 @@ def test_stored_row_failing_a_check_is_an_error(harvested, argv):
     assert done.stdout == ""
 
 
+def test_stored_blank_author_is_an_error_in_bibtex(harvested):
+    # A blank normalized name once ended the bibtex export in an IndexError.
+    conn = sqlite3.connect(harvested / "aclanthology.db")
+    with conn:
+        conn.execute("INSERT INTO paper (anthology_id, title, authors, authors_normalized, "
+                     "venue_key, year, page_url) VALUES ('2022.bad-2', 'Bad', '[\" \"]', "
+                     "'[\"\"]', 'acl', 2022, 'https://anthology.test/2022.bad-2/')")
+    conn.close()
+    done = subprocess.run(
+        [sys.executable, "-m", "anthology_harvest.cli", "query", "--format", "bibtex"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"), AAH_DB=str(harvested)))
+    assert done.returncode == 1
+    assert done.stderr == ("error: stored paper 2022.bad-2: "
+                           "blank normalized name of author ' '\n")
+    assert done.stdout == ""
+
+
 SEVEN_FLAGS = [
     "filter",
     "--years", "2021..2023",

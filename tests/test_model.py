@@ -78,10 +78,19 @@ class TestNormalizeAuthor:
         with pytest.raises(EmptyInput):
             normalize_author("  \t ")
 
+    @pytest.mark.parametrize("raw", ["\u00b4", " \u00a8 \u00b8", "\u02dc"])
+    def test_nothing_left_once_normalized_raises(self, raw):
+        # Each is a space plus combining marks after compatibility decomposition.
+        with pytest.raises(EmptyInput):
+            normalize_author(raw)
+
     @settings(max_examples=100)
     @given(st.text(min_size=1).filter(lambda s: drop_controls(s).strip()))
     def test_normalized_shape(self, raw):
-        name = normalize_author(raw)
+        try:
+            name = normalize_author(raw)
+        except EmptyInput:  # nothing left once normalized, as for "´"
+            return
         assert name.normalized == name.normalized.strip()
         assert "  " not in name.normalized
         # Pure function: same input, same output.
@@ -92,11 +101,11 @@ class TestNormalizeAuthor:
     def test_ascii_fast_path_equals_full_pipeline(self, raw):
         # The documented pipeline, applied in full to every input.
         collapsed = _WS_RE.sub(" ", drop_controls(raw).strip())
-        if not collapsed:
+        normalized = _WS_RE.sub(" ", _strip_diacritics(collapsed).casefold()).strip()
+        if not normalized:
             with pytest.raises(EmptyInput):
                 normalize_author(raw)
             return
-        normalized = _WS_RE.sub(" ", _strip_diacritics(collapsed).casefold()).strip()
         assert normalize_author(raw) == AuthorName(full=collapsed, normalized=normalized)
 
 
@@ -183,6 +192,12 @@ _CONFERENCE = dict(conf_id="acl-2022", venue_key="acl", year=2022, title="T",
      "non-pending log needs attempts >= 1"),
     (CrawlLog, dict(paper_count=-1), "paper_count must be non-negative"),
     (CrawlLog, dict(status=CrawlStatus.FAILED, attempts=-1), "attempts must be non-negative"),
+    # A blank normalized name has no bibkey surname; "$" would let "acl\n" through.
+    (PaperRecord, dict(authors=(AuthorName(" ", ""),)), "blank normalized name of author ' '"),
+    (PaperRecord, dict(authors=(AuthorName("Ann", "ann"), AuthorName("x", "\t"))),
+     "blank normalized name of author 'x'"),
+    (PaperRecord, dict(venue_key="acl\n"), "venue_key 'acl\\n' must match [a-z0-9_-]+"),
+    (ConferenceRecord, dict(venue_key="acl\n"), "venue_key 'acl\\n' must match [a-z0-9_-]+"),
 ])
 def test_record_checks_raise_their_exact_message(record, fields, message):
     defaults = {PaperRecord: _PAPER, ConferenceRecord: _CONFERENCE, CrawlLog: {}}[record]

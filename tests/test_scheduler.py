@@ -1,5 +1,6 @@
 import gc
 import logging
+import sqlite3
 import sys
 import threading
 import time
@@ -474,3 +475,86 @@ class TestPagination:
         assert log.attempts == attempts
         assert (counts["/proceedings/xx-2020.html"]
                 + counts["/proceedings/xx-2020-p2.html"]) == attempts
+
+
+class _FailingStatement:
+    """Connection proxy on which the first statement ``fails(sql, params)``
+    picks raises ``error``."""
+
+    def __init__(self, conn, fails, error):
+        self._conn, self._fails, self._error = conn, fails, error
+
+    def execute(self, sql, params=()):
+        if self._fails is not None and self._fails(sql, params):
+            self._fails = None
+            raise self._error
+        return self._conn.execute(sql, params)
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
+def stored_outcome(handle):
+    """conf_id -> paper_count of each stored conference row, after checking
+    that each has all of its papers and that no paper is without one."""
+    papers = {}
+    for paper in load_all_papers(handle):
+        key = f"{paper.venue_key}-{paper.year}"
+        papers[key] = papers.get(key, 0) + 1
+    stored = {c.conf_id: c.crawl_log.paper_count for c in load_all_conferences(handle)
+              if c.crawl_log.status is CrawlStatus.STORED}
+    assert {k: n for k, n in stored.items() if n} == papers
+    return stored
+
+
+class TestGroupCommit:
+    """Workers write into one open transaction; the calling thread commits."""
+
+    def test_failed_commit_fails_its_whole_group(self, fixtures_root, manifest):
+        handle = init_schema(StoreConfig(location=":memory:"))
+        conn = handle._conn
+        handle._conn = _FailingStatement(conn, lambda sql, _: sql == "COMMIT",
+                                         sqlite3.OperationalError("disk I/O error"))
+        report = run_crawl(fixture_config(fixtures_root, workers=2), handle)
+        assert not conn.in_transaction
+        failed = {cid for cid, log in report.per_conference.items()
+                  if log.status is CrawlStatus.FAILED}
+        lost = {cid for cid in failed
+                if report.per_conference[cid].last_error.startswith(
+                    "StoreUnavailable: commit failed")}
+        assert lost  # the first group; the crawl then drains the tasks not begun
+        assert report.tasks_failed == len(failed)
+        stored = stored_outcome(handle)
+        assert set(stored) == set(report.per_conference) - failed
+        assert report.tasks_succeeded == len(stored)
+        handle.close()
+
+    def test_failed_batch_fails_only_its_task(self, fixtures_root):
+        handle = init_schema(StoreConfig(location=":memory:"))
+        handle._conn = _FailingStatement(
+            handle._conn, lambda _, params: params[:1] == ("2021.acl-long.500",),
+            RuntimeError("injected"))
+        report = run_crawl(fixture_config(fixtures_root, workers=2), handle)
+        assert report.tasks_failed == 1
+        assert report.per_conference["acl-2021"].last_error == "RuntimeError: injected"
+        stored = stored_outcome(handle)
+        assert set(stored) == set(report.per_conference) - {"acl-2021"}
+        assert not handle._conn.in_transaction
+        handle.close()
+
+    def test_interrupted_crawl_commits_what_was_written(self, fixtures_root, monkeypatch):
+        handle = init_schema(StoreConfig(location=":memory:"))
+        real_finish = CrawlSession._finish
+
+        def finish(session, *args):
+            if sum(session.snapshot()[::2]) == 3:
+                raise KeyboardInterrupt
+            real_finish(session, *args)
+
+        monkeypatch.setattr(CrawlSession, "_finish", finish)
+        with pytest.raises(KeyboardInterrupt):
+            run_crawl(fixture_config(fixtures_root, workers=2), handle)
+        assert not handle._conn.in_transaction
+        assert len(stored_outcome(handle)) >= 3
+        assert not any(t.name.startswith("crawl") for t in threading.enumerate())
+        handle.close()

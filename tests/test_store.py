@@ -27,6 +27,7 @@ from anthology_harvest import (
     upsert_papers,
 )
 from anthology_harvest import store as store_mod
+from anthology_harvest.scheduler import CrawlSession
 from conftest import make_conference, make_paper, random_papers
 
 FAST_POLICY = FetchPolicy(max_attempts=2, base_backoff_ms=0, timeout_ms=3000,
@@ -284,27 +285,31 @@ def test_readers_and_the_crawl_do_not_block_each_other(fixtures_root, tmp_path,
                                                        monkeypatch):
     cfg = StoreConfig(location=str(tmp_path))
     writer, reader = init_schema(cfg), init_schema(cfg)
-    reads, errors = [], []
-    real_batch = store_mod.upsert_crawl_batch
+    reads, errors, finished = [], [], []
+    real_commit, real_finish = writer.commit, CrawlSession._finish
 
-    def commit_then_read(h, *args, **kwargs):
-        result = real_batch(h, *args, **kwargs)
+    def commit_then_read():
+        real_commit()
         try:
             papers = Counter((p.venue_key, p.year) for p in load_all_papers(reader))
             tree = store_mod.stats_stored(reader, ["venue_key", "year"])
             grouped = Counter({(venue, year): n for venue, years in tree.items()
                                for year, n in years.items()})
-            # Under each store's lock: another worker may be inside its write.
-            with reader._lock:
+            # Under each store's lock: a worker may be about to write.
+            with reader.lock:
                 reader_in_tx = reader._conn.in_transaction
-            with writer._lock:
+            with writer.lock:
                 writer_in_tx = writer._conn.in_transaction
             reads.append((papers, grouped, reader_in_tx, writer_in_tx))
         except Exception as exc:  # recorded here: the crawl would swallow it
             errors.append(exc)
-        return result
 
-    monkeypatch.setattr(store_mod, "upsert_crawl_batch", commit_then_read)
+    def finish(session, conf, *args):
+        finished.append(len(reads))  # the read after the commit of the task's group
+        real_finish(session, conf, *args)
+
+    monkeypatch.setattr(writer, "commit", commit_then_read)
+    monkeypatch.setattr(CrawlSession, "_finish", finish)
     try:
         report = crawl_fixtures(fixtures_root, writer)
         final = {(c.venue_key, c.year): c.crawl_log.paper_count
@@ -314,7 +319,11 @@ def test_readers_and_the_crawl_do_not_block_each_other(fixtures_root, tmp_path,
         writer.close()
     assert errors == []
     assert report.tasks_failed == 0
-    assert len(reads) == report.tasks_total == 25
+    # The groups cover all 25 tasks, with one read after each group's commit
+    # and one after the run's closing commit.
+    groups = Counter(finished)
+    assert sum(groups.values()) == report.tasks_total == 25
+    assert sorted(groups) == list(range(1, len(reads)))
     for papers, grouped, reader_in_tx, writer_in_tx in reads:
         # Each read sees a conference with all of its papers or none of them.
         assert all(final[key] == n for key, n in papers.items())
@@ -322,15 +331,16 @@ def test_readers_and_the_crawl_do_not_block_each_other(fixtures_root, tmp_path,
         assert not reader_in_tx and not writer_in_tx
     # The read after the last commit sees every conference.
     everything = Counter({key: n for key, n in final.items() if n})
-    assert any(papers == grouped == everything for papers, grouped, *_ in reads)
+    assert reads[-1][0] == reads[-1][1] == everything
 
 
 class TestUpsertConference:
     def test_insert_then_update(self, mem_store):
         rec = make_conference(desc="first")
-        assert upsert_conference(mem_store, rec) == "inserted"
+        upsert_conference(mem_store, rec)
+        assert load_all_conferences(mem_store) == [rec]
         changed = make_conference(desc="second")
-        assert upsert_conference(mem_store, changed) == "updated"
+        upsert_conference(mem_store, changed)
         rows = load_all_conferences(mem_store)
         assert len(rows) == 1
         assert rows[0].desc == "second"
@@ -338,23 +348,22 @@ class TestUpsertConference:
     def test_identical_reupsert_is_stable(self, mem_store):
         rec = make_conference()
         upsert_conference(mem_store, rec)
-        assert upsert_conference(mem_store, rec) == "updated"
+        upsert_conference(mem_store, rec)
         assert load_all_conferences(mem_store) == [rec]
 
     def test_concurrent_first_writes_insert_once(self, mem_store, monkeypatch):
         real_write = mem_store._write_batch
 
-        def slow_write(statements):
-            time.sleep(0.05)  # widens the window between the count and the write
-            real_write(statements)
+        def slow_write(*args):
+            time.sleep(0.05)  # widens the window between the two writes
+            real_write(*args)
 
         monkeypatch.setattr(mem_store, "_write_batch", slow_write)
         barrier = threading.Barrier(2)
-        results = []
 
         def write(desc):
             barrier.wait(timeout=5)
-            results.append(upsert_conference(mem_store, make_conference(desc=desc)))
+            upsert_conference(mem_store, make_conference(desc=desc))
 
         threads = [threading.Thread(target=write, args=(desc,)) for desc in ("a", "b")]
         for t in threads:
@@ -362,7 +371,8 @@ class TestUpsertConference:
         for t in threads:
             t.join(timeout=10)
             assert not t.is_alive()
-        assert sorted(results) == ["inserted", "updated"]
+        rows = load_all_conferences(mem_store)
+        assert [row.desc in ("a", "b") for row in rows] == [True]
 
     def test_crawl_log_round_trip(self, mem_store):
         log = CrawlLog(status=CrawlStatus.STORED, attempts=2,
@@ -446,6 +456,76 @@ class TestWriteBatch:
         monkeypatch.setattr(mem_store, "_conn", conn)
         assert upsert_papers(mem_store, [make_paper(aid="c.2")]) == (1, 0)
         assert load_all_papers(mem_store).ids() == ("c.2",)
+
+
+class _FailingPaper:
+    """Connection proxy on which writing paper ``aid`` fails; with ``rollback``
+    SQLite is made to roll back the whole transaction first, as it may on a
+    full disk."""
+
+    def __init__(self, conn, aid, rollback=False):
+        self._conn, self._aid, self._rollback = conn, aid, rollback
+
+    def execute(self, sql, params=()):
+        if params[:1] == (self._aid,):
+            if self._rollback:
+                self._conn.execute("ROLLBACK")
+            raise sqlite3.OperationalError("database or disk is full")
+        return self._conn.execute(sql, params)
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
+class TestGroupedWrites:
+    """A batch written without a commit stays in the open transaction, in its
+    own savepoint, until ``commit()``."""
+
+    def test_batches_wait_for_the_commit(self, tmp_path):
+        cfg = StoreConfig(location=str(tmp_path))
+        with init_schema(cfg) as writer, init_schema(cfg) as reader:
+            upsert_crawl_batch(writer, make_conference(), [make_paper()], commit=False)
+            upsert_conference(writer, make_conference(year=2021), commit=False)
+            # A committing write joins the open transaction and waits too.
+            assert upsert_papers(writer, [make_paper(aid="x.1")]) == (1, 0)
+            assert reader.execute_scalar("SELECT COUNT(*) FROM conference") == 0
+            writer.commit()
+            assert not writer._conn.in_transaction
+            assert reader.execute_scalar("SELECT COUNT(*) FROM conference") == 2
+            assert reader.execute_scalar("SELECT COUNT(*) FROM paper") == 2
+
+    def test_failed_batch_undoes_only_its_savepoint(self, mem_store, monkeypatch):
+        upsert_crawl_batch(mem_store, make_conference(year=2021), [make_paper(aid="a.1")],
+                           commit=False)
+        conn = mem_store._conn
+        monkeypatch.setattr(mem_store, "_conn", _FailingPaper(conn, "b.2"))
+        with pytest.raises(StoreUnavailable):
+            upsert_crawl_batch(mem_store, make_conference(),
+                               [make_paper(aid="b.1"), make_paper(aid="b.2")], commit=False)
+        monkeypatch.setattr(mem_store, "_conn", conn)
+        mem_store.commit()
+        assert load_all_papers(mem_store).ids() == ("a.1",)
+        assert [c.conf_id for c in load_all_conferences(mem_store)] == ["acl-2021"]
+
+    def test_batch_rolled_back_by_sqlite_fails_the_next_commit(self, mem_store,
+                                                               monkeypatch):
+        upsert_crawl_batch(mem_store, make_conference(year=2021), [make_paper(aid="a.1")],
+                           commit=False)
+        conn = mem_store._conn
+        monkeypatch.setattr(mem_store, "_conn", _FailingPaper(conn, "b.1", rollback=True))
+        with pytest.raises(StoreUnavailable):
+            upsert_crawl_batch(mem_store, make_conference(), [make_paper(aid="b.1")],
+                               commit=False)
+        monkeypatch.setattr(mem_store, "_conn", conn)
+        upsert_crawl_batch(mem_store, make_conference(year=2020), [make_paper(aid="c.1")],
+                           commit=False)
+        # a.1 went with the rollback, so nothing since the last commit is stored.
+        with pytest.raises(StoreUnavailable):
+            mem_store.commit()
+        assert not conn.in_transaction
+        assert mem_store.execute_scalar("SELECT COUNT(*) FROM paper") == 0
+        mem_store.commit()  # the loss is reported once
+        assert upsert_papers(mem_store, [make_paper(aid="d.1")]) == (1, 0)
 
 
 class TestLoadAll:
