@@ -1,50 +1,54 @@
 """Command-line front end: harvest, query, filter, stats.
 
-Exit codes: 0 success (including empty results), 1 configuration or usage
-errors, 2 a harvest that finished with some tasks failed.
+Exit codes: 0 success (including empty results), 1 any error (a bad flag or
+setting, a failed store or file operation, a closed stdout), 2 a harvest that
+finished with some tasks failed, 130 interrupted (Ctrl-C).  Commands raise;
+``main`` alone turns a failure into an exit code and one stderr line at most.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import sys
 from pathlib import Path
 
 from . import query as query_mod
 from . import store as store_mod
-from .config import ConfigError, ToolConfig, load_config
-from .errors import EmptyRuleSet, HarvestError
+from .config import ToolConfig, load_config
+from .errors import HarvestError
 from .paperlist import FilterRule, PaperList
 from .store import INT_COLUMNS, PAPER_COLUMNS
 
 _FORMATS = ("json", "csv", "bibtex", "table")
 _STAT_DIM_FLAGS = {"year": "year", "venue": "venue_key", "author": "author"}
+# What int() reads, less the digit-group underscores.
+_INTEGER = re.compile(r"\s*[+-]?\d+\s*")
 
 
 class UsageError(Exception):
     pass
 
 
+def _int(raw: str, what: str) -> int:
+    if not _INTEGER.fullmatch(raw):
+        raise UsageError(f"{what} wants an integer, got {raw!r}")
+    return int(raw)
+
+
 def _parse_years(spec: str) -> tuple[int, int]:
     parts = spec.split("..")
     if len(parts) != 2:
         raise UsageError(f"--years wants A..B, got {spec!r}")
-    try:
-        start, end = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise UsageError(f"--years wants integers, got {spec!r}") from None
+    start, end = (_int(part, "--years") for part in parts)
     if start > end:
         raise UsageError(f"--years start {start} > end {end}")
     return start, end
 
 
 def _coerce(column: str, raw: str):
-    if column in INT_COLUMNS:
-        try:
-            return int(raw)
-        except ValueError:
-            raise UsageError(f"column {column!r} wants an integer, got {raw!r}") from None
-    return raw
+    return _int(raw, f"column {column!r}") if column in INT_COLUMNS else raw
 
 
 def _parse_where(spec: str) -> tuple[str, str, object]:
@@ -90,10 +94,6 @@ def _table(papers: PaperList) -> str:
     return "\n".join(out) + "\n"
 
 
-def _open_store(cfg: ToolConfig) -> store_mod.Store:
-    return store_mod.init_schema(cfg.store)
-
-
 def cmd_harvest(args: argparse.Namespace, cfg: ToolConfig) -> int:
     # The only command that crawls, so the only one that loads the crawler.
     from . import scheduler
@@ -103,14 +103,11 @@ def cmd_harvest(args: argparse.Namespace, cfg: ToolConfig) -> int:
     years = _parse_years(args.years) if args.years else (crawl.year_start, crawl.year_end)
     venues = tuple(v for v in (args.venues or "").split(",") if v) or crawl.venues
     source_spec = args.source or crawl.source
-    if source_spec == "fixture" and cfg.fixture_root:
-        source: object = FixtureSource(root=cfg.fixture_root)
-    else:
-        try:
-            source = parse_source_spec(source_spec)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
     try:
+        if source_spec == "fixture" and cfg.fixture_root:
+            source: object = FixtureSource(root=cfg.fixture_root)
+        else:
+            source = parse_source_spec(source_spec)
         config = scheduler.CrawlConfig(
             venues=venues,
             year_range=years,
@@ -120,11 +117,8 @@ def cmd_harvest(args: argparse.Namespace, cfg: ToolConfig) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    handle = _open_store(cfg)
-    try:
+    with store_mod.init_schema(cfg.store) as handle:
         report = scheduler.run_crawl(config, handle)
-    finally:
-        handle.close()
     if report.tasks_total == 0:
         print("0 tasks matched the venue/year filter; nothing to do")
         return 0
@@ -142,11 +136,11 @@ def cmd_harvest(args: argparse.Namespace, cfg: ToolConfig) -> int:
 
 
 def cmd_query(args: argparse.Namespace, cfg: ToolConfig) -> int:
-    handle = _open_store(cfg)
-    try:
+    wheres = [_parse_where(spec) for spec in args.where or []]
+    with store_mod.init_schema(cfg.store) as handle:
         builder = query_mod.table("paper", handle)
-        for spec in args.where or []:
-            builder = builder.where(*_parse_where(spec))
+        for where in wheres:
+            builder = builder.where(*where)
         if args.order:
             parts = args.order.split(":")
             direction = parts[1] if len(parts) > 1 else "asc"
@@ -154,11 +148,6 @@ def cmd_query(args: argparse.Namespace, cfg: ToolConfig) -> int:
         if args.limit is not None:
             builder = builder.limit(args.limit)
         papers = query_mod.hydrate_papers(builder.query())
-    except (HarvestError, ValueError) as exc:  # ValueError: a stored row fails a check
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        handle.close()
     sys.stdout.write(_serialize(papers, args.format))
     return 0
 
@@ -174,8 +163,9 @@ def _filter_rules(args: argparse.Namespace) -> list[FilterRule]:
             rules.append(FilterRule.venue_in(venues))
     for keyword in args.keyword_all or []:
         rules.append(FilterRule.keyword_all([keyword]))
-    for keyword in args.keyword_any_groups or []:
-        rules.append(FilterRule.keyword_any(keyword))
+    # --keyword-any occurrences form ONE any-of rule.
+    if args.keyword_any:
+        rules.append(FilterRule.keyword_any(args.keyword_any))
     for author in args.author or []:
         rules.append(FilterRule.author(author))
     if args.has_abstract:
@@ -184,43 +174,24 @@ def _filter_rules(args: argparse.Namespace) -> list[FilterRule]:
 
 
 def cmd_filter(args: argparse.Namespace, cfg: ToolConfig) -> int:
-    # --keyword-any occurrences form ONE any-of rule; repeated --keyword-all
-    # flags each add a must-have keyword.
-    args.keyword_any_groups = [args.keyword_any] if args.keyword_any else []
     rules = _filter_rules(args)
-    handle = _open_store(cfg)
-    try:
+    if not rules:
+        raise UsageError("no filter rules given (--keyword-all/--keyword-any/"
+                         "--author/--venues/--years/--has-abstract)")
+    with store_mod.init_schema(cfg.store) as handle:
         selected = store_mod.filter_stored(handle, rules, combine=args.combine)
-    except EmptyRuleSet:
-        print("error: no filter rules given "
-              "(--keyword-all/--keyword-any/--author/--venues/--years)",
-              file=sys.stderr)
-        return 1
-    except ValueError as exc:  # a stored row fails a check
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        handle.close()
     sys.stdout.write(_serialize(selected, args.format))
     return 0
 
 
 def cmd_stats(args: argparse.Namespace, cfg: ToolConfig) -> int:
-    dims = []
-    for flag in args.by or []:
+    if not args.by:
+        raise UsageError("pass at least one --by dimension")
+    for flag in args.by:
         if flag not in _STAT_DIM_FLAGS:
-            print(f"error: unknown dimension {flag!r}; pick from "
-                  f"{sorted(_STAT_DIM_FLAGS)}", file=sys.stderr)
-            return 1
-        dims.append(_STAT_DIM_FLAGS[flag])
-    if not dims:
-        print("error: pass at least one --by dimension", file=sys.stderr)
-        return 1
-    handle = _open_store(cfg)
-    try:
-        counts = store_mod.stats_stored(handle, dims)
-    finally:
-        handle.close()
+            raise UsageError(f"unknown dimension {flag!r}; pick from {sorted(_STAT_DIM_FLAGS)}")
+    with store_mod.init_schema(cfg.store) as handle:
+        counts = store_mod.stats_stored(handle, [_STAT_DIM_FLAGS[flag] for flag in args.by])
     if args.format == "json":
         print(json.dumps(counts, sort_keys=True, ensure_ascii=False))
     else:
@@ -292,21 +263,26 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    args = build_arg_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return _COMMANDS[args.command](args, cfg)
+        code = _COMMANDS[args.command](args, load_config(args.config))
+        # A closed stdout fails here, not in the flush at interpreter exit.
+        sys.stdout.flush()
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     except HarvestError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    except BrokenPipeError:
+        # Nothing reads stdout any more: what is left in its buffer goes to
+        # the null device, so the flush at exit does not fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except (ValueError, OSError) as exc:  # a bad setting, a stored row failing a check
+        print(f"error: {exc}", file=sys.stderr)
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
+    return 1
 
 
 if __name__ == "__main__":

@@ -54,6 +54,7 @@ _REDIRECTS = frozenset({301, 302, 303, 307, 308})
 _MAX_REDIRECTS = 10
 _CONNECTION_CLASSES = {"http": http.client.HTTPConnection,
                        "https": http.client.HTTPSConnection}
+_HEADERS = {"User-Agent": USER_AGENT, "Accept-Encoding": "gzip"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -306,14 +307,16 @@ def _exchange(target: str, headers: dict[str, str], timeout: float,
     return resp, body
 
 
-def _http_get(url: str, headers: dict[str, str], timeout: float,
-              pool: ConnectionPool) -> tuple[int, bytes]:
+def _http_get(url: str, timeout: float, pool: ConnectionPool,
+              gate: RateGate) -> tuple[int, bytes]:
     """One GET over a connection from ``pool``; any HTTP answer returns
     ``(status, body)``.
 
     The URL is percent-encoded for the request line.  A 301, 302, 303, 307
     or 308 answer is followed to its ``Location`` (at most
-    ``_MAX_REDIRECTS`` times, all within this one call).  Any other status
+    ``_MAX_REDIRECTS`` times, all within this one call).  Each request,
+    redirect hops included, starts when ``gate`` clears it and carries
+    that start in its ``X-Request-Start`` header.  Any other status
     outside 2xx comes back as its code with an empty body.  A
     ``Content-Encoding: gzip`` body is decoded.  Transport failures raise
     one of ``_TRANSIENT``; a URL that ``http.client`` rejects raises
@@ -321,6 +324,7 @@ def _http_get(url: str, headers: dict[str, str], timeout: float,
     """
     target = quote(url, safe=_URL_SAFE).split("#", 1)[0]
     for redirects in range(_MAX_REDIRECTS + 1):
+        headers = {**_HEADERS, START_HEADER: str(gate.wait_turn())}
         resp, body = _exchange(target, headers, timeout, pool)
         if resp.status not in _REDIRECTS or redirects == _MAX_REDIRECTS:
             break
@@ -348,12 +352,12 @@ def fetch(url: str, policy: FetchPolicy, source: Source, *,
     Returns the body on 2xx.  Retries with exponential backoff on 5xx and
     transport failures (connection errors, timeouts, truncated answers,
     corrupt gzip bodies), up to ``policy.max_attempts``; 4xx fails
-    immediately.  Every attempt counts as a request start for politeness
-    spacing, and is sent once: a request is never repeated unless an
-    attempt is spent on it.
+    immediately.  Every request of an attempt, redirect hops included, is a
+    request start for politeness spacing, and is sent once: a request is
+    never repeated unless an attempt is spent on it.
 
     Requests start when ``gate`` clears them (a fresh gate when none is
-    given, which spaces only this call's attempts) and go over connections
+    given, which spaces only this call's requests) and go over connections
     from ``pool``; without one, the call opens its own connection and
     closes it before returning.
 
@@ -389,15 +393,8 @@ def _fetch_http(url: str, policy: FetchPolicy, gate: RateGate,
     last_reason = "no attempt made"
 
     for attempt in range(1, policy.max_attempts + 1):
-        slot_ns = gate.wait_turn()
-        headers = {
-            "User-Agent": USER_AGENT,
-            "Accept-Encoding": "gzip",
-            # The start is the instant the gate cleared this request.
-            START_HEADER: str(slot_ns),
-        }
         try:
-            status, body = _http_get(url, headers, timeout, pool)
+            status, body = _http_get(url, timeout, pool, gate)
         except (http.client.InvalidURL, UnicodeError) as exc:
             # A non-numeric port or a host name IDNA cannot encode.
             raise Unresolvable(f"malformed URL {url!r}: {exc}", url=url) from exc

@@ -116,28 +116,6 @@ class PaperList:
     def ids(self) -> tuple[str, ...]:
         return tuple(p.anthology_id for p in self.items)
 
-    # Thin method forms of the module-level set operations.
-    def union(self, other: "PaperList") -> "PaperList":
-        return union(self, other)
-
-    def intersect(self, other: "PaperList") -> "PaperList":
-        return intersect(self, other)
-
-    def complement(self, universe: "PaperList") -> "PaperList":
-        return complement(self, universe)
-
-    def filter(self, rules: Iterable[FilterRule], combine: str = "all") -> "PaperList":
-        return filter_papers(self, rules, combine)
-
-    def stats(self, dims: Iterable[str]) -> dict:
-        return stats(self, dims)
-
-    def sort(self, key: str, direction: str = "asc") -> "PaperList":
-        return sort_papers(self, key, direction)
-
-    def top_k(self, k: int) -> "PaperList":
-        return top_k(self, k)
-
     # -- serialization -----------------------------------------------------
 
     def to_jsonl(self) -> str:

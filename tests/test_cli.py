@@ -33,6 +33,14 @@ def harvested(db_env, capsys):
     return db_env
 
 
+def run_cli(db: Path, *argv: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """Run the CLI in a process of its own over the store in ``db``."""
+    return subprocess.run(
+        [sys.executable, "-m", "anthology_harvest.cli", *argv], stdout=stdout,
+        stderr=subprocess.PIPE, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"), AAH_DB=str(db)))
+
+
 def edit_page(site: Path, page: str, old: str, new: str) -> None:
     """Replace the one occurrence of ``old`` in ``site/page``."""
     path = site / page
@@ -232,10 +240,7 @@ def test_stored_row_failing_a_check_is_an_error(harvested, argv):
                      "venue_key, year, page_url) VALUES ('2022.bad-1', 'Bad', '[]', '[]', "
                      "'acl', 2022, 'not-a-url')")
     conn.close()
-    done = subprocess.run(
-        [sys.executable, "-m", "anthology_harvest.cli", *argv], capture_output=True,
-        text=True, timeout=60,
-        env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"), AAH_DB=str(harvested)))
+    done = run_cli(harvested, *argv)
     assert done.returncode == 1
     assert "Traceback" not in done.stderr
     assert done.stderr == ("error: stored paper 2022.bad-1: "
@@ -251,14 +256,65 @@ def test_stored_blank_author_is_an_error_in_bibtex(harvested):
                      "venue_key, year, page_url) VALUES ('2022.bad-2', 'Bad', '[\" \"]', "
                      "'[\"\"]', 'acl', 2022, 'https://anthology.test/2022.bad-2/')")
     conn.close()
-    done = subprocess.run(
-        [sys.executable, "-m", "anthology_harvest.cli", "query", "--format", "bibtex"],
-        capture_output=True, text=True, timeout=60,
-        env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"), AAH_DB=str(harvested)))
+    done = run_cli(harvested, "query", "--format", "bibtex")
     assert done.returncode == 1
     assert done.stderr == ("error: stored paper 2022.bad-2: "
                            "blank normalized name of author ' '\n")
     assert done.stdout == ""
+
+
+@pytest.mark.parametrize("argv, authors", [
+    # 2,000 more authors: a table larger than the stdout buffer.
+    (["stats", "--by", "author", "--format", "table"], 2000),
+    # One line, which sits in the buffer until the flush.
+    (["query", "--limit", "1", "--format", "json"], 0),
+], ids=["stats", "query"])
+def test_closed_stdout_ends_quietly(harvested, argv, authors):
+    names = json.dumps([f"author {i:04d}" for i in range(authors)])
+    conn = sqlite3.connect(harvested / "aclanthology.db")
+    with conn:
+        conn.execute("INSERT INTO paper (anthology_id, title, authors, authors_normalized, "
+                     "venue_key, year, page_url) VALUES ('2022.many-1', 'Many', ?, ?, "
+                     "'acl', 2099, 'https://anthology.test/2022.many-1/')", (names, names))
+    conn.close()
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = run_cli(harvested, *argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == ""
+
+
+def test_report_json_into_missing_directory(db_env):
+    target = db_env / "missing" / "r.json"
+    done = run_cli(db_env, "harvest", "--venues", "tacl", "--source", f"fixture:{FIXTURES}",
+                   "--report-json", str(target))
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert done.stderr.endswith(f"error: [Errno 2] No such file or directory: '{target}'\n")
+    assert "tasks: 5" in done.stdout
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["stats", "--by", "bogus"],
+     "unknown dimension 'bogus'; pick from ['author', 'venue', 'year']"),
+    (["stats"], "pass at least one --by dimension"),
+    (["filter", "--combine", "any"], "no filter rules given (--keyword-all/--keyword-any/"
+                                     "--author/--venues/--years/--has-abstract)"),
+    (["query", "--where", "year:eq:20x"], "column 'year' wants an integer, got '20x'"),
+    (["harvest", "--years", "2021..20x"], "--years wants an integer, got '20x'"),
+], ids=["stats-bogus", "stats-no-by", "filter-no-rules", "query-bad-int", "harvest-bad-years"])
+def test_usage_error_creates_no_store(db_env, capsys, argv, message):
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not (db_env / "aclanthology.db").exists()
+
+
+def test_builder_error_names_its_type(db_env, capsys):
+    assert main(["query", "--where", "year:between:2023,2021"]) == 1
+    assert capsys.readouterr().err.startswith("error: BadArity: ")
 
 
 SEVEN_FLAGS = [

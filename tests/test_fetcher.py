@@ -317,6 +317,14 @@ class TestTransport:
         assert res.attempts_used == 1
         assert server.paths == ["/p.html", "/q.html"]
 
+    def test_redirect_hop_waits_for_the_gate(self):
+        policy = FetchPolicy(max_attempts=1, timeout_ms=2000, min_interval_ms=200)
+        moved = (301, {"Location": "/q.html"}, b"moved")
+        with ReplyServer([moved, ({}, PAGE)]) as server:
+            fetch("/p.html", policy, server.source)
+        first, second = (int(h["X-Request-Start"]) for h in server.headers)
+        assert second - first >= 200_000_000
+
     @pytest.mark.parametrize("closes_idle", [False, True], ids=["http-1.0", "closes-idle"])
     def test_crawl_over_a_server_that_closes_connections(self, fixtures_root, closes_idle):
         pages = ["/index.html", "/venues/acl.html", "/proceedings/acl-2022.html"]

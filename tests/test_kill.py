@@ -1,7 +1,8 @@
-"""Crash consistency: ``harvest`` killed by SIGKILL leaves a consistent store.
+"""Crash consistency: ``harvest`` killed by SIGKILL, or stopped by Ctrl-C
+(SIGINT), leaves a consistent store.
 
 Each case starts the CLI over a copy of the fixture corpus as a child
-process, kills that child (and nothing else) once it has printed a seeded
+process, signals that child (and nothing else) once it has printed a seeded
 number of progress lines, and then opens the store from this process.
 """
 import os
@@ -19,13 +20,19 @@ import pytest
 from conftest import REPO_ROOT
 
 PROGRESS = re.compile(r"(\S+) (stored|unchanged|failed) (\d+) \d+")
-KILL_POINTS = [(workers, after) for workers in (1, 2)
+KILL_POINTS = [(workers, after) for workers in (1, 2, 8)
                for after in sorted(random.Random(workers).sample(range(25), 5))]
+# Ctrl-C comes once the CLI is running (one line printed) and while at least
+# a group of tasks is left, so it always finds the crawl under way.
+INTERRUPT_POINTS = [(workers, after) for workers in (1, 2, 8)
+                    for after in sorted(random.Random(-workers).sample(range(1, 17), 2))]
 
 
-def harvest(corpus, db, workers, kill_after=None) -> dict[str, tuple[str, int]]:
-    """Run ``harvest`` to its end, or SIGKILL it after ``kill_after`` progress
-    lines; returns conf_id -> (status, papers) for each progress line read."""
+def harvest(corpus, db, workers, kill_after=None,
+            sig=signal.SIGKILL) -> dict[str, tuple[str, int]]:
+    """Run ``harvest`` to its end, or send it ``sig`` after ``kill_after``
+    progress lines; returns conf_id -> (status, papers) for each progress
+    line read.  Stopped by SIGINT, it must exit 130 saying ``interrupted``."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "anthology_harvest.cli", "harvest",
          "--source", f"fixture:{corpus}", "--workers", str(workers)],
@@ -41,12 +48,18 @@ def harvest(corpus, db, workers, kill_after=None) -> dict[str, tuple[str, int]]:
             if match:
                 printed[match[1]] = (match[2], int(match[3]))
         if kill_after is not None:
-            proc.send_signal(signal.SIGKILL)
-        proc.stderr.read()
+            proc.send_signal(sig)
+        rest = proc.stderr.read()
     finally:
         proc.stderr.close()
         returncode = proc.wait(timeout=60)
-    assert returncode in ((0,) if kill_after is None else (0, -signal.SIGKILL))
+    if kill_after is None:
+        assert returncode == 0
+    elif sig == signal.SIGINT:
+        assert returncode == 130, rest
+        assert rest.endswith("interrupted\n") and "Traceback" not in rest, rest
+    else:
+        assert returncode in (0, -signal.SIGKILL)
     return printed
 
 
@@ -84,12 +97,9 @@ def clean(corpus, tmp_path_factory):
     return rows(db)
 
 
-@pytest.mark.parametrize("workers, kill_after", KILL_POINTS)
-def test_killed_harvest_leaves_a_consistent_store(corpus, clean, tmp_path,
-                                                  workers, kill_after):
-    printed = harvest(corpus, tmp_path, workers, kill_after)
-    if (tmp_path / "aclanthology.db").exists():
-        left = rows(tmp_path)
+def assert_consistent(corpus, clean, db, workers, printed) -> None:
+    if (db / "aclanthology.db").exists():
+        left = rows(db)
         # conference: (conf_id, ..., status at 8, ..., paper_count at 11, ...);
         # paper: (anthology_id, ..., venue_key at 4, year at 5, ...).
         stored = {row[0]: row for row in left["conference"] if row[8] == "stored"}
@@ -106,5 +116,19 @@ def test_killed_harvest_leaves_a_consistent_store(corpus, clean, tmp_path,
             assert f"{venue}-{year}" in stored
         assert set(left["paper"]) <= set(clean["paper"])
     # An uninterrupted harvest afterwards leaves what one clean harvest does.
-    harvest(corpus, tmp_path, workers)
-    assert rows(tmp_path) == clean
+    harvest(corpus, db, workers)
+    assert rows(db) == clean
+
+
+@pytest.mark.parametrize("workers, kill_after", KILL_POINTS)
+def test_killed_harvest_leaves_a_consistent_store(corpus, clean, tmp_path,
+                                                  workers, kill_after):
+    printed = harvest(corpus, tmp_path, workers, kill_after)
+    assert_consistent(corpus, clean, tmp_path, workers, printed)
+
+
+@pytest.mark.parametrize("workers, kill_after", INTERRUPT_POINTS)
+def test_interrupted_harvest_leaves_a_consistent_store(corpus, clean, tmp_path,
+                                                       workers, kill_after):
+    printed = harvest(corpus, tmp_path, workers, kill_after, sig=signal.SIGINT)
+    assert_consistent(corpus, clean, tmp_path, workers, printed)
