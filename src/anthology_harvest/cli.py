@@ -97,23 +97,18 @@ def _table(papers: PaperList) -> str:
 def cmd_harvest(args: argparse.Namespace, cfg: ToolConfig) -> int:
     # The only command that crawls, so the only one that loads the crawler.
     from . import scheduler
-    from .fetcher import FixtureSource, parse_source_spec
+    from .fetcher import parse_source_spec
 
     crawl = cfg.crawl
     years = _parse_years(args.years) if args.years else (crawl.year_start, crawl.year_end)
     venues = tuple(v for v in (args.venues or "").split(",") if v) or crawl.venues
-    source_spec = args.source or crawl.source
     try:
-        if source_spec == "fixture" and cfg.fixture_root:
-            source: object = FixtureSource(root=cfg.fixture_root)
-        else:
-            source = parse_source_spec(source_spec)
         config = scheduler.CrawlConfig(
             venues=venues,
             year_range=years,
             workers=crawl.workers if args.workers is None else args.workers,
             policy=crawl.policy(),
-            source=source,
+            source=parse_source_spec(args.source or crawl.source),
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -193,7 +188,7 @@ def cmd_stats(args: argparse.Namespace, cfg: ToolConfig) -> int:
     with store_mod.init_schema(cfg.store) as handle:
         counts = store_mod.stats_stored(handle, [_STAT_DIM_FLAGS[flag] for flag in args.by])
     if args.format == "json":
-        print(json.dumps(counts, sort_keys=True, ensure_ascii=False))
+        print(json.dumps(counts, ensure_ascii=False))
     else:
         for path, count in _flatten(counts):
             print(f"{'/'.join(str(p) for p in path)}\t{count}")
@@ -202,8 +197,7 @@ def cmd_stats(args: argparse.Namespace, cfg: ToolConfig) -> int:
 
 def _flatten(tree: dict, prefix: tuple = ()) -> list[tuple[tuple, int]]:
     out: list[tuple[tuple, int]] = []
-    for key in sorted(tree, key=str):
-        value = tree[key]
+    for key, value in tree.items():
         if isinstance(value, dict):
             out.extend(_flatten(value, prefix + (key,)))
         else:

@@ -23,7 +23,6 @@ _KEY_TYPES = {
     "crawl": {"venues": list, "year_start": int, "year_end": int, "workers": int,
               "max_attempts": int, "base_backoff_ms": int, "timeout_ms": int,
               "min_interval_ms": int, "source": str},
-    "paths": {"fixture_root": str},
 }
 _TYPE_NAMES = {str: "a string", int: "an integer", list: "an array of strings"}
 
@@ -77,7 +76,6 @@ class CrawlDefaults:
 class ToolConfig:
     store: StoreConfig = field(default_factory=StoreConfig)
     crawl: CrawlDefaults = field(default_factory=CrawlDefaults)
-    fixture_root: Path | None = None
 
 
 def load_config(path: Path | None = None, env: dict[str, str] | None = None
@@ -104,13 +102,8 @@ def load_config(path: Path | None = None, env: dict[str, str] | None = None
         store["location"] = env[ENV_DB]
     crawl = _section(data, "crawl")
     crawl["venues"] = tuple(crawl.get("venues", ()))
-    fixture_root = _section(data, "paths").get("fixture_root")
     try:
         store_cfg = StoreConfig(**store)
     except ValueError as exc:
         raise ConfigError(f"store.{exc}") from None
-    return ToolConfig(
-        store=store_cfg,
-        crawl=CrawlDefaults(**crawl),
-        fixture_root=Path(fixture_root) if fixture_root else None,
-    )
+    return ToolConfig(store=store_cfg, crawl=CrawlDefaults(**crawl))

@@ -156,12 +156,15 @@ class PaperRecord:
         if not self.title:
             raise ValueError("title must be non-empty")
         for author in self.authors:
+            if type(author.full) is not str or type(author.normalized) is not str:
+                raise ValueError(f"author names {author.full!r}, {author.normalized!r} "
+                                 "must be strings")
             if not author.normalized or author.normalized.isspace():
                 raise ValueError(f"blank normalized name of author {author.full!r}")
         if VENUE_KEY_RE.fullmatch(self.venue_key) is None:
             raise ValueError(f"venue_key {self.venue_key!r} must match [a-z0-9_-]+")
-        if not YEAR_MIN <= self.year <= YEAR_MAX:
-            raise ValueError(f"year {self.year} outside [{YEAR_MIN}, {YEAR_MAX}]")
+        if type(self.year) is not int or not YEAR_MIN <= self.year <= YEAR_MAX:
+            raise ValueError(f"year {self.year!r} outside [{YEAR_MIN}, {YEAR_MAX}]")
         if not is_absolute_url(self.page_url):
             raise ValueError(f"page_url {self.page_url!r} must be absolute")
         if self.pdf_url is not None and not is_absolute_url(self.pdf_url):

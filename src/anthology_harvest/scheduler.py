@@ -10,12 +10,13 @@ request count, and the store's serialized write path; everything else they
 touch is immutable.  The connection pool keeps at most one idle connection
 per worker and origin, and is closed once the workers have stopped.
 
-A worker writes each task's rows, all or nothing, into the store's open
-transaction and goes on; the calling thread commits them in groups, and a
-task counts as stored once its group is committed.  A permanently failing
-task is recorded as failed and never blocks the others.  After the workers
-finish, the store's log is checkpointed into its file; a checkpoint that a
-reader blocks is logged, and the crawl's writes stay in the log.
+A worker writes each task's outcome as one batch, all or nothing, into the
+store's open transaction, then hands the calling thread a token on a queue
+and goes on; that thread commits in groups, and a task counts as stored once
+its group is committed.  A permanently failing task is recorded as failed
+and never blocks the others.  After the workers finish, the store's log is
+checkpointed into its file; a checkpoint that a reader blocks is logged, and
+the crawl's writes stay in the log.
 
 Each stored conference keeps a digest of every page it was parsed from.  A
 re-run still fetches every page, but while each page's digest matches the
@@ -31,6 +32,7 @@ import functools
 import hashlib
 import json
 import logging
+import queue
 import sys
 import threading
 import time
@@ -89,9 +91,7 @@ class CrawlReport:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
-def plan_tasks(config: CrawlConfig,
-               index: list[tuple[Category, str, str]],
-               venue_pages: dict[str, list[ConferenceRecord]]
+def plan_tasks(config: CrawlConfig, venue_pages: dict[str, list[ConferenceRecord]]
                ) -> list[ConferenceRecord]:
     """Select the conferences to crawl.
 
@@ -169,13 +169,10 @@ class CrawlSession:
         self._cancel = threading.Event()
         # (conf, log, started, unchanged) of each task written since the last commit.
         self._written: list[tuple[ConferenceRecord, CrawlLog, float, bool]] = []
-        self._handed = threading.Condition(handle.lock)
+        self._tokens: queue.SimpleQueue[None] = queue.SimpleQueue()  # one per written task
         self._plan: list[ConferenceRecord] | None = None
         self._requests = 0
-        self._succeeded = 0
-        self._failed = 0
-        self._unchanged = 0
-        self._papers_stored = 0
+        self._unchanged = 0  # the one count a CrawlLog does not record
         self._per_conference: dict[str, CrawlLog] = {}
         self._stored: dict[str, store_mod.StoredPages] = {}
 
@@ -184,7 +181,9 @@ class CrawlSession:
     def snapshot(self) -> tuple[int, int, int]:
         """(done, total, failed); done counts tasks whose group is committed."""
         with self._lock:
-            return self._succeeded, len(self._plan or ()), self._failed
+            failed = sum(log.status is CrawlStatus.FAILED
+                         for log in self._per_conference.values())
+            return len(self._per_conference) - failed, len(self._plan or ()), failed
 
     def cancel(self) -> None:
         """Ask workers to drain: tasks not yet started finish as failed('cancelled')."""
@@ -210,7 +209,7 @@ class CrawlSession:
             with self._lock:
                 self._requests += attempts
 
-    def _discover(self) -> tuple[list, dict[str, list[ConferenceRecord]]]:
+    def _discover(self) -> dict[str, list[ConferenceRecord]]:
         """Fetch the index, then the wanted venue pages on the worker pool."""
         start_url = self.config.source.start_url
         index = parser.parse_index(self._fetch(start_url).decode("utf-8", errors="replace"),
@@ -226,7 +225,7 @@ class CrawlSession:
                 continue
             if wanted is None or venue_key in wanted:
                 wanted_links.append((category, venue_key, url))
-        return index, dict(self._executor.map(self._venue_page, wanted_links))
+        return dict(self._executor.map(self._venue_page, wanted_links))
 
     def _venue_page(self, link: tuple[Category, str, str]
                     ) -> tuple[str, list[ConferenceRecord]]:
@@ -308,23 +307,23 @@ class CrawlSession:
         except Exception as exc:  # failure isolation: record, never propagate
             log = _failed_log(exc, pages.attempts)
         # One step under the store's write lock: a commit holds the rows of
-        # exactly the tasks handed over before it.
-        with self._handed:
+        # exactly the tasks handed over before it.  A failed task's row keeps
+        # no papers and no page digests.
+        with self.handle.lock:
+            stored = log.status is CrawlStatus.STORED
             try:
-                if log.status is CrawlStatus.STORED:
+                if not cancelled:
                     store_mod.upsert_crawl_batch(
                         self.handle, replace(conf, crawl_log=log), papers or [],
-                        bytes(pages.digests), pages.hop_urls, commit=False)
-                elif not cancelled:
-                    store_mod.upsert_conference(self.handle, replace(conf, crawl_log=log),
-                                                commit=False)
+                        bytes(pages.digests) if stored else None,
+                        pages.hop_urls if stored else (), commit=False)
             except Exception as exc:  # its own savepoint is rolled back
                 if isinstance(exc, StoreUnavailable):
                     self._cancel.set()  # the store is gone: drain what's left
-                if log.status is CrawlStatus.STORED:
+                if stored:
                     log = _failed_log(exc, log.attempts)
             self._written.append((conf, log, started, papers is None))
-            self._handed.notify()
+        self._tokens.put(None)
 
     def _finish(self, conf: ConferenceRecord, log: CrawlLog, started: float,
                 unchanged: bool = False) -> None:
@@ -332,12 +331,7 @@ class CrawlSession:
         unchanged = unchanged and log.status is CrawlStatus.STORED
         with self._lock:
             self._per_conference[conf.conf_id] = log
-            if log.status is CrawlStatus.STORED:
-                self._succeeded += 1
-                self._unchanged += unchanged
-                self._papers_stored += log.paper_count or 0
-            else:
-                self._failed += 1
+            self._unchanged += unchanged
         status = "unchanged" if unchanged else log.status.value
         print(f"{conf.conf_id} {status} {log.paper_count or 0} {elapsed_ms}", file=sys.stderr)
 
@@ -352,8 +346,7 @@ class CrawlSession:
         """
         try:
             self._stored = store_mod.load_stored_pages(self.handle)  # probes the store too
-            index, venue_pages = self._discover()
-            plan = plan_tasks(self.config, index, venue_pages)
+            plan = plan_tasks(self.config, self._discover())
         except BaseException:
             self._executor.shutdown(wait=True, cancel_futures=True)
             self._pool.close()
@@ -371,12 +364,19 @@ class CrawlSession:
         try:
             for conf in self._plan:
                 self._executor.submit(self._run_task, conf)
-            left, workers = len(self._plan), self.config.workers
+            total, workers = len(self._plan), self.config.workers
+            seen = done = 0  # tokens taken; tasks committed
             # Once as many tasks as there are workers (or all that are left)
-            # are written, commit them as one group, then finish them.
-            while left:
-                with self._handed:
-                    self._handed.wait_for(lambda: len(self._written) >= min(workers, left))
+            # are written, commit them as one group, then finish them.  Never
+            # wait on a Condition here: Ctrl-C inside its Python code can leave
+            # the store's lock held, and the shutdown below then waits forever
+            # for a worker blocked on it.  SimpleQueue.get is C and holds none.
+            while done < total:
+                self._tokens.get()
+                seen += 1
+                if seen - done < min(workers, total - done):
+                    continue
+                with self.handle.lock:
                     group, self._written = self._written, []
                     try:
                         self.handle.commit()
@@ -388,7 +388,7 @@ class CrawlSession:
                     if error is not None and log.status is CrawlStatus.STORED:
                         log = _failed_log(error, log.attempts)
                     self._finish(conf, log, started, unchanged)
-                left -= len(group)
+                done += len(group)
         finally:
             self._executor.shutdown(cancel_futures=True)
             self._pool.close()
@@ -399,17 +399,16 @@ class CrawlSession:
             self.handle.checkpoint()
         except StoreUnavailable as exc:
             logger.warning("%s; the crawl's writes stay in the store's log", exc)
-        with self._lock:
-            return CrawlReport(
-                tasks_total=len(self._plan),
-                tasks_succeeded=self._succeeded,
-                tasks_failed=self._failed,
-                papers_stored=self._papers_stored,
-                per_conference=dict(self._per_conference),
-                wall_ms=int((time.monotonic() - t0) * 1000),
-                tasks_unchanged=self._unchanged,
-                requests=self._requests,
-            )
+        return self._report(t0)
+
+    def _report(self, t0: float) -> CrawlReport:
+        """The report, counted from the task logs once the workers have stopped."""
+        succeeded, total, failed = self.snapshot()
+        logs = dict(self._per_conference)
+        return CrawlReport(total, succeeded, failed,
+                           sum(log.paper_count or 0 for log in logs.values()), logs,
+                           int((time.monotonic() - t0) * 1000), self._unchanged,
+                           self._requests)
 
     def run(self) -> CrawlReport:
         """Prepare and execute; an empty plan yields a report of no tasks."""
@@ -417,8 +416,7 @@ class CrawlSession:
         try:
             self.prepare()
         except EmptyPlan:
-            return CrawlReport(0, 0, 0, 0, {}, int((time.monotonic() - t0) * 1000),
-                               requests=self._requests)
+            return self._report(t0)
         return self.execute()
 
 

@@ -2,9 +2,10 @@
 
 All mutations go through one serialized write path (``Store.lock``
 around a single connection), which is the synchronization contract the
-crawler relies on.  A crawl commits in groups: each task's batch goes into
-the one open transaction, in a savepoint, and the crawl's calling thread
-commits what has been written, one sync per group.
+crawler relies on.  A crawl commits in groups: a worker writes each task's
+batch into the one open transaction, in a savepoint, under ``Store.lock``,
+and hands the crawl's calling thread a token; once that thread holds a
+group's tokens, it takes the lock and commits them, one sync per group.
 
 A file store runs in SQLite's write-ahead-log mode: a commit appends to
 ``<name>.db-wal`` and syncs it once (``synchronous`` stays ``FULL``), and
@@ -450,14 +451,22 @@ class StoredPages(NamedTuple):
 
 def load_stored_pages(h: Store) -> dict[str, StoredPages]:
     """conf_id -> StoredPages for every conference stored with page digests
-    that match its hop count; one SELECT."""
+    that match its hop count; one SELECT.  A row whose ``hop_urls`` is not a
+    JSON array of strings, or its digests not a BLOB or its paper_count not an
+    integer, is left out too."""
     rows = h.execute_sql("SELECT conf_id, page_digests, hop_urls, paper_count "
                          "FROM conference WHERE page_digests IS NOT NULL")
     out = {}
     for row in rows:
-        hops = tuple(json.loads(row["hop_urls"])) if row["hop_urls"] else ()
-        if len(row["page_digests"]) == PAGE_DIGEST_SIZE * (1 + len(hops)):
-            out[row["conf_id"]] = StoredPages(row["page_digests"], hops, row["paper_count"])
+        digests = row["page_digests"]
+        try:
+            hops = _decode_json(row["hop_urls"] or "[]")
+        except (TypeError, ValueError):  # not text, or not JSON
+            continue
+        if (type(hops) is list and all(type(url) is str for url in hops)
+                and type(digests) is bytes and type(row["paper_count"]) is int
+                and len(digests) == PAGE_DIGEST_SIZE * (1 + len(hops))):
+            out[row["conf_id"]] = StoredPages(digests, tuple(hops), row["paper_count"])
     return out
 
 
@@ -470,6 +479,8 @@ def paper_from_row(row: Mapping) -> PaperRecord:
     try:
         full = _decode_json(row["authors"])
         normalized = _decode_json(row["authors_normalized"])
+        if type(full) is not list or type(normalized) is not list:
+            raise ValueError("authors and authors_normalized must be JSON arrays")
         if len(full) != len(normalized):
             raise ValueError(f"{len(full)} authors but {len(normalized)} normalized names")
         return PaperRecord(
@@ -483,7 +494,7 @@ def paper_from_row(row: Mapping) -> PaperRecord:
             abstract=row["abstract"],
             bibkey=row["bibkey"],
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # a TypeError: a column holds another type
         raise ValueError(f"stored paper {row['anthology_id']}: {exc}") from exc
 
 

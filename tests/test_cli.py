@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from anthology_harvest import CrawlConfig, FetchPolicy, FixtureSource
 from anthology_harvest.cli import main
 from anthology_harvest.config import CrawlDefaults, load_config
 from anthology_harvest.store import StoreConfig
@@ -263,6 +264,42 @@ def test_stored_blank_author_is_an_error_in_bibtex(harvested):
     assert done.stdout == ""
 
 
+@pytest.fixture(scope="module")
+def harvested_file(tmp_path_factory):
+    """A store file holding one harvest of the fixture corpus."""
+    db = tmp_path_factory.mktemp("harvested")
+    assert run_cli(db, "harvest", "--source", f"fixture:{FIXTURES}").returncode == 0
+    return db / "aclanthology.db"
+
+
+@pytest.mark.parametrize("argv", [
+    ["query", "--format", "json"], ["query", "--format", "csv"],
+    ["query", "--format", "bibtex"], ["filter", "--author", "x", "--format", "csv"],
+    ["stats", "--by", "year", "--by", "author"],
+], ids=["query-json", "query-csv", "query-bibtex", "filter", "stats"])
+@pytest.mark.parametrize("assignments", [
+    "authors = 'null'",
+    "year = 'abc'",
+    "authors = '[5]', authors_normalized = '[\"x\"]'",
+    "authors = CAST('[\"x\"]' AS BLOB)",
+], ids=["authors-null", "year-text", "author-int", "authors-blob"])
+def test_hostile_stored_row_ends_in_output_or_error(harvested_file, tmp_path, argv,
+                                                     assignments):
+    shutil.copy(harvested_file, tmp_path / "aclanthology.db")
+    conn = sqlite3.connect(tmp_path / "aclanthology.db")
+    with conn:
+        conn.execute(f"UPDATE paper SET {assignments} WHERE anthology_id = "
+                     "(SELECT MIN(anthology_id) FROM paper)")
+    conn.close()
+    done = run_cli(tmp_path, *argv)
+    assert "Traceback" not in done.stderr
+    if done.returncode == 0:
+        assert done.stdout
+    else:
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: stored paper ") and done.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv, authors", [
     # 2,000 more authors: a table larger than the stdout buffer.
     (["stats", "--by", "author", "--format", "table"], 2000),
@@ -426,6 +463,12 @@ class TestConfigFile:
         assert (envdir / "aclanthology.db").exists()
         assert not (filedir / "aclanthology.db").exists()
 
+    def test_crawl_defaults_are_the_library_defaults(self):
+        defaults, library = CrawlDefaults(), CrawlConfig(source=FixtureSource(root=FIXTURES))
+        assert defaults.policy() == FetchPolicy()
+        assert defaults.workers == library.workers
+        assert (defaults.year_start, defaults.year_end) == library.year_range
+
     def test_missing_explicit_config_exit_one(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "none.toml"), "stats", "--by", "year"]) == 1
 
@@ -441,7 +484,6 @@ class TestConfigFile:
             venues=("acl", "emnlp"), year_start=2021, year_end=2023, workers=8,
             max_attempts=3, base_backoff_ms=500, timeout_ms=15000, min_interval_ms=250,
             source="fixture:fixtures")
-        assert loaded.fixture_root == Path("fixtures")
 
     @pytest.mark.parametrize("text, section, key, value", [
         ('[store]\nlocation = "x #2"\n', "store", "location", "x #2"),
@@ -461,11 +503,13 @@ class TestConfigFile:
         ('[store]\ndatabase_name = ""\n', "store.database_name must be non-empty"),
         ("[crawl]\nworker = 4\n", "unknown setting crawl.worker"),
         ("[crawll]\nworkers = 2\n", "unknown section [crawll]"),
+        # source = "fixture:<dir>" is the one way to name a fixture corpus.
+        ('[paths]\nfixture_root = "fixtures"\n', "unknown section [paths]"),
         ("workers = 2\n", "unknown setting workers"),
         ("[crawl.retry]\nmax_attempts = 2\n", "unknown setting crawl.retry"),
     ], ids=["leading-zero", "duplicate-key", "string-workers", "string-venues",
             "bool-workers", "empty-database-name", "unknown-key", "unknown-section",
-            "top-level-key", "unknown-subtable"])
+            "paths-section", "top-level-key", "unknown-subtable"])
     def test_bad_settings_exit_one(self, db_env, tmp_path, capsys, text, message):
         cfg = tmp_path / "anthology.toml"
         cfg.write_text(text, encoding="utf-8")

@@ -4,8 +4,13 @@
 Each case starts the CLI over a copy of the fixture corpus as a child
 process, signals that child (and nothing else) once it has printed a seeded
 number of progress lines, and then opens the store from this process.
+
+A wider Ctrl-C sweep, 100 seeded points per worker count, is marked
+``sweep`` and runs only when asked for: ``pytest -m sweep tests/test_kill.py``.
 """
+import contextlib
 import os
+import queue
 import random
 import re
 import shutil
@@ -13,6 +18,8 @@ import signal
 import sqlite3
 import subprocess
 import sys
+import threading
+import time
 from collections import Counter
 
 import pytest
@@ -26,22 +33,42 @@ KILL_POINTS = [(workers, after) for workers in (1, 2, 8)
 # a group of tasks is left, so it always finds the crawl under way.
 INTERRUPT_POINTS = [(workers, after) for workers in (1, 2, 8)
                     for after in sorted(random.Random(-workers).sample(range(1, 17), 2))]
+SWEEP_POINTS = [pytest.param(workers, random.Random(f"{workers}:{i}").randint(1, 16),
+                             marks=pytest.mark.sweep, id=f"sweep-{workers}w-{i:02d}")
+                for workers in (1, 2, 8) for i in range(100)]
+# A harvest of the corpus ends within seconds; one still running after this
+# is hung, and its stack is wanted more than its end.
+TIMEOUT_S = 60
 
 
 def harvest(corpus, db, workers, kill_after=None,
             sig=signal.SIGKILL) -> dict[str, tuple[str, int]]:
     """Run ``harvest`` to its end, or send it ``sig`` after ``kill_after``
     progress lines; returns conf_id -> (status, papers) for each progress
-    line read.  Stopped by SIGINT, it must exit 130 saying ``interrupted``."""
+    line read.  Stopped by SIGINT, it must exit 130 saying ``interrupted``.
+
+    Every wait is bounded: a child still running TIMEOUT_S seconds after
+    its start is sent SIGABRT, on which ``-X faulthandler`` prints every
+    thread's stack, and the test fails showing that stderr."""
     proc = subprocess.Popen(
-        [sys.executable, "-m", "anthology_harvest.cli", "harvest",
+        [sys.executable, "-X", "faulthandler", "-m", "anthology_harvest.cli", "harvest",
          "--source", f"fixture:{corpus}", "--workers", str(workers)],
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
         env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"), AAH_DB=str(db)))
-    printed = {}
+    lines: queue.SimpleQueue[str] = queue.SimpleQueue()
+
+    def read() -> None:  # stderr line by line, then "" at its end
+        for line in proc.stderr:
+            lines.put(line)
+        lines.put("")
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    deadline = time.monotonic() + TIMEOUT_S
+    printed, hung = {}, False
     try:
         while kill_after is None or len(printed) < kill_after:
-            line = proc.stderr.readline()
+            line = lines.get(timeout=max(deadline - time.monotonic(), 0))
             if not line:
                 break
             match = PROGRESS.fullmatch(line.rstrip("\n"))
@@ -49,10 +76,20 @@ def harvest(corpus, db, workers, kill_after=None,
                 printed[match[1]] = (match[2], int(match[3]))
         if kill_after is not None:
             proc.send_signal(sig)
-        rest = proc.stderr.read()
+        proc.wait(timeout=max(deadline - time.monotonic(), 0))
+    except (queue.Empty, subprocess.TimeoutExpired):
+        proc.send_signal(signal.SIGABRT)
+        hung = True
     finally:
+        with contextlib.suppress(subprocess.TimeoutExpired):
+            proc.wait(timeout=TIMEOUT_S)
+        proc.kill()  # does nothing to a child that has ended
+        returncode = proc.wait()
+        reader.join()
         proc.stderr.close()
-        returncode = proc.wait(timeout=60)
+    rest = "".join(lines.get() for _ in range(lines.qsize()))
+    if hung:
+        pytest.fail(f"harvest still running after {TIMEOUT_S} s; its stderr:\n{rest}")
     if kill_after is None:
         assert returncode == 0
     elif sig == signal.SIGINT:
@@ -127,7 +164,7 @@ def test_killed_harvest_leaves_a_consistent_store(corpus, clean, tmp_path,
     assert_consistent(corpus, clean, tmp_path, workers, printed)
 
 
-@pytest.mark.parametrize("workers, kill_after", INTERRUPT_POINTS)
+@pytest.mark.parametrize("workers, kill_after", INTERRUPT_POINTS + SWEEP_POINTS)
 def test_interrupted_harvest_leaves_a_consistent_store(corpus, clean, tmp_path,
                                                        workers, kill_after):
     printed = harvest(corpus, tmp_path, workers, kill_after, sig=signal.SIGINT)

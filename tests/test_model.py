@@ -198,6 +198,13 @@ _CONFERENCE = dict(conf_id="acl-2022", venue_key="acl", year=2022, title="T",
      "blank normalized name of author 'x'"),
     (PaperRecord, dict(venue_key="acl\n"), "venue_key 'acl\\n' must match [a-z0-9_-]+"),
     (ConferenceRecord, dict(venue_key="acl\n"), "venue_key 'acl\\n' must match [a-z0-9_-]+"),
+    # What a stored row can hold that a parse never gives.
+    (PaperRecord, dict(year="abc"), "year 'abc' outside [1950, 2100]"),
+    (PaperRecord, dict(year=2022.0), "year 2022.0 outside [1950, 2100]"),
+    (PaperRecord, dict(authors=(AuthorName(5, "x"),)),
+     "author names 5, 'x' must be strings"),
+    (PaperRecord, dict(authors=(AuthorName("x", None),)),
+     "author names 'x', None must be strings"),
 ])
 def test_record_checks_raise_their_exact_message(record, fields, message):
     defaults = {PaperRecord: _PAPER, ConferenceRecord: _CONFERENCE, CrawlLog: {}}[record]

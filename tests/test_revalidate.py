@@ -31,7 +31,7 @@ from anthology_harvest import (
     init_schema,
     run_crawl,
 )
-from anthology_harvest import parser, scheduler
+from anthology_harvest import cli, parser, scheduler
 from anthology_harvest import store as store_mod
 from anthology_harvest.mockserver import ScriptedCorpusServer
 from conftest import make_conference
@@ -293,6 +293,32 @@ def test_unchanged_rerun_sends_the_same_requests(fixtures_root, tmp_path):
     assert second.per_conference["acl-2021"].attempts == 2
     assert second.tasks_failed == 1
     assert second.tasks_unchanged == second.tasks_succeeded == 24
+
+
+@pytest.mark.parametrize("assignment", [
+    "hop_urls = 'not json'", "hop_urls = '[5]'", "hop_urls = '\"x\"'",
+    "page_digests = 'sixteen letters!'", "page_digests = x'00'", "paper_count = NULL",
+], ids=["hops-not-json", "hops-not-strings", "hops-not-array", "digests-text",
+        "digests-short", "no-paper-count"])
+def test_unreadable_stored_pages_are_parsed_again(fixtures_root, tmp_path, monkeypatch,
+                                                 assignment):
+    """A row whose hop_urls is not a JSON array of strings, whose
+    page_digests is not a BLOB of the length its hops imply, or whose
+    paper_count is not an integer, is not stored: the next harvest parses
+    its conference in full and rewrites the row."""
+    clean, db = tmp_path / "clean.db", tmp_path / "aclanthology.db"
+    crawl(FixtureSource(root=fixtures_root), clean, 2)
+    monkeypatch.setenv("AAH_DB", str(tmp_path))
+    argv = ["harvest", "--source", f"fixture:{fixtures_root}"]
+    assert cli.main(argv) == 0
+    conn = sqlite3.connect(db)
+    with conn:
+        conn.execute(f"UPDATE conference SET {assignment} WHERE conf_id = 'acl-2021'")
+    conn.close()
+    with counting_parses() as parses:
+        assert cli.main(argv) == 0
+    assert parses == ["acl-2021"]
+    assert rows(db) == rows(clean)
 
 
 V1_CONFERENCE_DDL = """CREATE TABLE conference (

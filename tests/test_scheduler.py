@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from anthology_harvest import (
-    Category,
     CrawlConfig,
     CrawlStatus,
     EmptyPlan,
@@ -48,39 +47,33 @@ def crawl_fixture(fixtures_root, **kwargs):
 
 
 class TestPlanTasks:
-    def _inputs(self):
-        index = [(Category.ACL_EVENT, "ACL", "https://anthology.test/venues/acl.html")]
-        pages = {"acl": [make_conference(venue="acl", year=y) for y in range(2019, 2024)]}
-        return index, pages
+    def _pages(self):
+        return {"acl": [make_conference(venue="acl", year=y) for y in range(2019, 2024)]}
 
     def test_venue_and_year_filter(self):
-        index, pages = self._inputs()
+        pages = self._pages()
         config = CrawlConfig(venues=("acl",), year_range=(2021, 2023), workers=1,
                              policy=FAST_POLICY, source=FixtureSource(root=Path(".")))
-        plan = plan_tasks(config, index, pages)
+        plan = plan_tasks(config, pages)
         assert [c.conf_id for c in plan] == ["acl-2021", "acl-2022", "acl-2023"]
 
     def test_empty_intersection_raises(self):
-        index, pages = self._inputs()
+        pages = self._pages()
         config = CrawlConfig(venues=(), year_range=(1951, 1952), workers=1,
                              policy=FAST_POLICY, source=FixtureSource(root=Path(".")))
         with pytest.raises(EmptyPlan):
-            plan_tasks(config, index, pages)
+            plan_tasks(config, pages)
 
     def test_duplicate_venues_deduplicate(self):
-        index, pages = self._inputs()
+        pages = self._pages()
         config = CrawlConfig(venues=("acl", "acl"), year_range=(2019, 2023),
                              workers=1, policy=FAST_POLICY,
                              source=FixtureSource(root=Path(".")))
-        plan = plan_tasks(config, index, pages)
+        plan = plan_tasks(config, pages)
         assert len(plan) == 5
         assert len({c.conf_id for c in plan}) == 5
 
     def test_ordering_across_venues(self):
-        index = [
-            (Category.ACL_EVENT, "EMNLP", "https://x.test/venues/emnlp.html"),
-            (Category.ACL_EVENT, "ACL", "https://x.test/venues/acl.html"),
-        ]
         pages = {
             "emnlp": [make_conference(venue="emnlp", year=2021)],
             "acl": [make_conference(venue="acl", year=2022),
@@ -88,7 +81,7 @@ class TestPlanTasks:
         }
         config = CrawlConfig(venues=(), year_range=(2019, 2023), workers=1,
                              policy=FAST_POLICY, source=FixtureSource(root=Path(".")))
-        plan = plan_tasks(config, index, pages)
+        plan = plan_tasks(config, pages)
         assert [c.conf_id for c in plan] == ["acl-2021", "acl-2022", "emnlp-2021"]
 
 
