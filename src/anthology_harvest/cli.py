@@ -19,7 +19,7 @@ from . import store as store_mod
 from .config import ToolConfig, load_config
 from .errors import HarvestError
 from .paperlist import FilterRule, PaperList
-from .store import INT_COLUMNS, PAPER_COLUMNS
+from .store import INT_COLUMNS
 
 _FORMATS = ("json", "csv", "bibtex", "table")
 _STAT_DIM_FLAGS = {"year": "year", "venue": "venue_key", "author": "author"}
@@ -52,25 +52,17 @@ def _coerce(column: str, raw: str):
 
 
 def _parse_where(spec: str) -> tuple[str, str, object]:
-    """col:op:value with comma-separated lists for in/not_in/between."""
+    """col:op[:value], with comma-separated lists for in/not_in/between; the
+    builder checks operator, column and arity."""
     parts = spec.split(":", 2)
-    if len(parts) == 2 and parts[1] in ("is_null", "is_not_null"):
-        return parts[0], parts[1], None
-    if len(parts) != 3:
-        raise UsageError(f"--where wants col:op:value, got {spec!r}")
-    column, op, raw = parts
-    if op not in query_mod.OPS:
-        raise UsageError(f"unknown operator {op!r}; pick from {list(query_mod.OPS)}")
-    if column not in PAPER_COLUMNS:
-        raise UsageError(f"unknown column {column!r}; pick from {list(PAPER_COLUMNS)}")
-    if op in ("in", "not_in", "between"):
-        values = [_coerce(column, v) for v in raw.split(",") if v != ""]
-        if op == "between" and len(values) != 2:
-            raise UsageError(f"between wants two values, got {raw!r}")
-        return column, op, values
-    if op in ("is_null", "is_not_null"):
+    if len(parts) < 2:
+        raise UsageError(f"--where wants col:op[:value], got {spec!r}")
+    column, op, *rest = parts
+    if not rest:
         return column, op, None
-    return column, op, _coerce(column, raw)
+    if op in ("in", "not_in", "between"):
+        return column, op, [_coerce(column, v) for v in rest[0].split(",") if v != ""]
+    return column, op, _coerce(column, rest[0])
 
 
 def _serialize(papers: PaperList, fmt: str) -> str:
@@ -131,18 +123,18 @@ def cmd_harvest(args: argparse.Namespace, cfg: ToolConfig) -> int:
 
 
 def cmd_query(args: argparse.Namespace, cfg: ToolConfig) -> int:
-    wheres = [_parse_where(spec) for spec in args.where or []]
+    # The whole chain is checked before the store is opened or created.
+    builder = query_mod.table("paper")
+    for spec in args.where or []:
+        builder = builder.where(*_parse_where(spec))
+    if args.order:
+        column, sep, direction = args.order.partition(":")
+        builder = builder.order(column, direction if sep else "asc")
+    if args.limit is not None:
+        builder = builder.limit(args.limit)
+    ast = builder.build()
     with store_mod.init_schema(cfg.store) as handle:
-        builder = query_mod.table("paper", handle)
-        for where in wheres:
-            builder = builder.where(*where)
-        if args.order:
-            parts = args.order.split(":")
-            direction = parts[1] if len(parts) > 1 else "asc"
-            builder = builder.order(parts[0], direction)
-        if args.limit is not None:
-            builder = builder.limit(args.limit)
-        papers = query_mod.hydrate_papers(builder.query())
+        papers = query_mod.hydrate_papers(query_mod.execute(handle, ast))
     sys.stdout.write(_serialize(papers, args.format))
     return 0
 

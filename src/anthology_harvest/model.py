@@ -24,6 +24,7 @@ _WS_RE = re.compile(r"\s+")
 # cuts a decoded string at U+0000, so no stored normalized name may hold one.
 _C0_RE = re.compile(r"[\x00-\x08\x0e-\x1b]")
 _NON_TOKEN_RE = re.compile(r"[^a-z0-9]+")
+_STR_OR_NONE = (str, type(None))
 
 
 class Category(str, Enum):
@@ -155,6 +156,12 @@ class PaperRecord:
             raise ValueError("anthology_id must be non-empty")
         if not self.title:
             raise ValueError("title must be non-empty")
+        if type(self.anthology_id) is not str or type(self.title) is not str:
+            raise ValueError(f"anthology_id {self.anthology_id!r} and title {self.title!r} "
+                             "must be strings")
+        if type(self.abstract) not in _STR_OR_NONE or type(self.bibkey) not in _STR_OR_NONE:
+            raise ValueError(f"abstract and bibkey must be strings or None, got "
+                             f"{type(self.abstract).__name__}, {type(self.bibkey).__name__}")
         for author in self.authors:
             if type(author.full) is not str or type(author.normalized) is not str:
                 raise ValueError(f"author names {author.full!r}, {author.normalized!r} "
@@ -211,27 +218,14 @@ class ConferenceRecord:
     def __post_init__(self) -> None:
         if VENUE_KEY_RE.fullmatch(self.venue_key) is None:
             raise ValueError(f"venue_key {self.venue_key!r} must match [a-z0-9_-]+")
-        if not YEAR_MIN <= self.year <= YEAR_MAX:
-            raise ValueError(f"year {self.year} outside [{YEAR_MIN}, {YEAR_MAX}]")
+        if type(self.year) is not int or not YEAR_MIN <= self.year <= YEAR_MAX:
+            raise ValueError(f"year {self.year!r} outside [{YEAR_MIN}, {YEAR_MAX}]")
         if self.conf_id != make_conf_id(self.venue_key, self.year):
             raise ValueError(f"conf_id {self.conf_id!r} != {self.venue_key}-{self.year}")
         if not self.title:
             raise ValueError("title must be non-empty")
         if not is_absolute_url(self.url):
             raise ValueError(f"url {self.url!r} must be absolute")
-
-
-@dataclass(frozen=True, slots=True)
-class ConContent:
-    """Transient crawl-hop payload: links discovered on a proceedings page.
-
-    Never persisted -- the store has no operation accepting it.  It only
-    carries what the next crawl hop needs.
-    """
-
-    conference: ConferenceRecord
-    paper_page_links: tuple[str, ...]
-    next_page_links: tuple[str, ...] = ()
 
 
 def make_conf_id(venue_key: str, year: int) -> str:

@@ -53,7 +53,6 @@ from .errors import EmptyInput, StructureError, UnrecognizedPage
 from .model import (
     PLAIN_ORIGIN_RE,
     Category,
-    ConContent,
     ConferenceRecord,
     PaperRecord,
     is_absolute_url,
@@ -84,7 +83,6 @@ class ParseReport:
 
     records_extracted: int
     warnings: tuple[str, ...]
-    source_url: str
 
 
 # Each page kind's marker class, in the order ``classify_page`` tries them.
@@ -305,14 +303,15 @@ def _split_authors(page: htmldoc.Page, span: htmldoc.Element) -> list[str]:
 
 def parse_proceedings(html: str, conference: ConferenceRecord, *,
                       base_url: str | None = None
-                      ) -> tuple[ConContent, list[PaperRecord], ParseReport]:
-    """Extract the papers listed on a proceedings page.
+                      ) -> tuple[list[str], list[PaperRecord], ParseReport]:
+    """Extract the papers and pagination links listed on a proceedings page.
 
-    Each entry yields one PaperRecord inheriting ``venue_key`` and ``year``
-    from ``conference``.  Entries missing a title are skipped with a
+    Returns ``(next_page_links, papers, report)``: the page's pagination
+    links, resolved, in document order; one PaperRecord per entry, inheriting
+    ``venue_key`` and ``year`` from ``conference``; and the page's count of
+    papers and its warnings.  Entries missing a title are skipped with a
     warning; missing abstracts, PDF links, or bibkeys leave those fields
-    absent.  The returned ConContent carries the per-paper landing links
-    and any pagination links for the next crawl hop.
+    absent.
 
     Raises:
         StructureError: if the paper-list container is absent.
@@ -325,7 +324,6 @@ def parse_proceedings(html: str, conference: ConferenceRecord, *,
 
     warnings: list[str] = []
     papers: list[PaperRecord] = []
-    landing_links: list[str] = []
     seen_ids: set[str] = set()
 
     entries = [element for element in page.inside(container)
@@ -381,7 +379,6 @@ def parse_proceedings(html: str, conference: ConferenceRecord, *,
         bibkey = page.text(bibkey_node) if bibkey_node is not None else None
 
         seen_ids.add(anthology_id)
-        landing_links.append(page_url)
         papers.append(PaperRecord(
             anthology_id=anthology_id,
             title=title,
@@ -405,14 +402,4 @@ def parse_proceedings(html: str, conference: ConferenceRecord, *,
             warnings.append(f"pagination link {href!r} is not http(s), skipped")
         else:
             next_links.append(joined[0])
-    content = ConContent(
-        conference=conference,
-        paper_page_links=tuple(landing_links),
-        next_page_links=tuple(next_links),
-    )
-    report = ParseReport(
-        records_extracted=len(papers),
-        warnings=tuple(warnings),
-        source_url=conference.url,
-    )
-    return content, papers, report
+    return next_links, papers, ParseReport(len(papers), tuple(warnings))

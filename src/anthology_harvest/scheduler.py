@@ -279,7 +279,7 @@ class CrawlSession:
             body = fetched.pop(url, None)
             if body is None:
                 body = self._fetch_page(url, conf, pages)
-            content, papers, report = parser.parse_proceedings(
+            next_links, papers, report = parser.parse_proceedings(
                 body.decode("utf-8", errors="replace"), conf, base_url=url)
             for warning in report.warnings:
                 logger.warning("%s: %s", conf.conf_id, warning)
@@ -289,7 +289,7 @@ class CrawlSession:
                                    conf.conf_id, p.anthology_id, url)
                 else:
                     merged[p.anthology_id] = p
-            frontier.extend(u for u in content.next_page_links if u not in visited)
+            frontier.extend(u for u in next_links if u not in visited)
         return list(merged.values())
 
     def _run_task(self, conf: ConferenceRecord) -> None:

@@ -474,7 +474,7 @@ def paper_from_row(row: Mapping) -> PaperRecord:
     """Hydrate one paper row from its stored display and normalized names.
 
     Raises:
-        ValueError: ``stored paper <anthology_id>: <reason>``; the row fails a check.
+        ValueError: ``stored paper <anthology_id repr>: <reason>``; the row fails a check.
     """
     try:
         full = _decode_json(row["authors"])
@@ -495,7 +495,7 @@ def paper_from_row(row: Mapping) -> PaperRecord:
             bibkey=row["bibkey"],
         )
     except (TypeError, ValueError) as exc:  # a TypeError: a column holds another type
-        raise ValueError(f"stored paper {row['anthology_id']}: {exc}") from exc
+        raise ValueError(f"stored paper {row['anthology_id']!r}: {exc}") from exc
 
 
 def conference_from_row(row: Mapping) -> ConferenceRecord:
@@ -569,6 +569,7 @@ def stats_stored(h: Store, dims: Iterable[str]) -> dict:
 
     Raises:
         BadDims: empty, duplicated, or unknown dimensions.
+        ValueError: a grouped year or venue key is stored as a BLOB.
     """
     dim_list = check_dims(dims)
     columns = ", ".join(_DIM_SQL[d] for d in dim_list)
@@ -586,6 +587,8 @@ def stats_stored(h: Store, dims: Iterable[str]) -> dict:
         for depth, key in enumerate(keys):
             if key is None:  # no author: the branch above exists, nothing below
                 break
+            if type(key) is bytes:  # a BLOB written by hand: no output format takes it
+                raise ValueError(f"stored {dim_list[depth]} {key!r} is a BLOB")
             if depth == len(keys) - 1:
                 node[key] = n
             else:

@@ -29,7 +29,6 @@ from anthology_harvest.errors import EmptyInput, StructureError, UnrecognizedPag
 from anthology_harvest.htmldoc import VOID_TAGS
 from anthology_harvest.model import (
     Category,
-    ConContent,
     ConferenceRecord,
     CrawlLog,
     PaperRecord,
@@ -529,14 +528,13 @@ def _split_authors(span: Node) -> list[str]:
 
 def parse_proceedings(html: str, conference: ConferenceRecord, *,
                       base_url: str | None = None
-                      ) -> tuple[ConContent, list[PaperRecord], ParseReport]:
-    """Extract the papers listed on a proceedings page.
+                      ) -> tuple[list[str], list[PaperRecord], ParseReport]:
+    """Extract the papers and pagination links listed on a proceedings page.
 
-    Each entry yields one PaperRecord inheriting ``venue_key`` and ``year``
-    from ``conference``.  Entries missing a title are skipped with a
-    warning; missing abstracts, PDF links, or bibkeys leave those fields
-    absent.  The returned ConContent carries the per-paper landing links
-    and any pagination links for the next crawl hop.
+    Returns ``(next_page_links, papers, report)``.  Each entry yields one
+    PaperRecord inheriting ``venue_key`` and ``year`` from ``conference``.
+    Entries missing a title are skipped with a warning; missing abstracts,
+    PDF links, or bibkeys leave those fields absent.
 
     Raises:
         StructureError: if the paper-list container is absent.
@@ -548,7 +546,6 @@ def parse_proceedings(html: str, conference: ConferenceRecord, *,
 
     warnings: list[str] = []
     papers: list[PaperRecord] = []
-    landing_links: list[str] = []
     seen_ids: set[str] = set()
 
     for position, entry in enumerate(container.find_all(cls="paper-entry"), start=1):
@@ -599,7 +596,6 @@ def parse_proceedings(html: str, conference: ConferenceRecord, *,
         bibkey = bibkey_node.text() if bibkey_node is not None else None
 
         seen_ids.add(anthology_id)
-        landing_links.append(page_url)
         papers.append(PaperRecord(
             anthology_id=anthology_id,
             title=title_anchor.text(),
@@ -625,14 +621,8 @@ def parse_proceedings(html: str, conference: ConferenceRecord, *,
             else:
                 next_links.append(url)
 
-    content = ConContent(
-        conference=conference,
-        paper_page_links=tuple(landing_links),
-        next_page_links=tuple(next_links),
-    )
     report = ParseReport(
         records_extracted=len(papers),
         warnings=tuple(warnings),
-        source_url=conference.url,
     )
-    return content, papers, report
+    return next_links, papers, report

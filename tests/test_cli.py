@@ -6,9 +6,14 @@ import shutil
 import sqlite3
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anthology_harvest import CrawlConfig, FetchPolicy, FixtureSource
 from anthology_harvest.cli import main
@@ -200,7 +205,9 @@ class TestQuery:
 
     def test_bad_operator_exit_one(self, db_env, capsys):
         assert main(["query", "--where", "year:badop:5"]) == 1
-        assert "usage error" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            "error: BadArity: unknown operator 'badop'")
+        assert list(db_env.iterdir()) == []
 
     def test_order_and_limit(self, harvested, capsys):
         code = main(["query", "--order", "year:desc", "--limit", "3",
@@ -244,7 +251,7 @@ def test_stored_row_failing_a_check_is_an_error(harvested, argv):
     done = run_cli(harvested, *argv)
     assert done.returncode == 1
     assert "Traceback" not in done.stderr
-    assert done.stderr == ("error: stored paper 2022.bad-1: "
+    assert done.stderr == ("error: stored paper '2022.bad-1': "
                            "page_url 'not-a-url' must be absolute\n")
     assert done.stdout == ""
 
@@ -259,7 +266,7 @@ def test_stored_blank_author_is_an_error_in_bibtex(harvested):
     conn.close()
     done = run_cli(harvested, "query", "--format", "bibtex")
     assert done.returncode == 1
-    assert done.stderr == ("error: stored paper 2022.bad-2: "
+    assert done.stderr == ("error: stored paper '2022.bad-2': "
                            "blank normalized name of author ' '\n")
     assert done.stdout == ""
 
@@ -275,14 +282,19 @@ def harvested_file(tmp_path_factory):
 @pytest.mark.parametrize("argv", [
     ["query", "--format", "json"], ["query", "--format", "csv"],
     ["query", "--format", "bibtex"], ["filter", "--author", "x", "--format", "csv"],
-    ["stats", "--by", "year", "--by", "author"],
-], ids=["query-json", "query-csv", "query-bibtex", "filter", "stats"])
+    ["stats", "--by", "year", "--by", "author"], ["query", "--format", "table"],
+], ids=["query-json", "query-csv", "query-bibtex", "filter", "stats", "query-table"])
 @pytest.mark.parametrize("assignments", [
     "authors = 'null'",
     "year = 'abc'",
     "authors = '[5]', authors_normalized = '[\"x\"]'",
     "authors = CAST('[\"x\"]' AS BLOB)",
-], ids=["authors-null", "year-text", "author-int", "authors-blob"])
+    "title = X'0074'",
+    "abstract = X'0074'",
+    "bibkey = X'0074'",
+    "anthology_id = X'0074'",
+], ids=["authors-null", "year-text", "author-int", "authors-blob", "title-blob",
+        "abstract-blob", "bibkey-blob", "id-blob"])
 def test_hostile_stored_row_ends_in_output_or_error(harvested_file, tmp_path, argv,
                                                      assignments):
     shutil.copy(harvested_file, tmp_path / "aclanthology.db")
@@ -298,6 +310,71 @@ def test_hostile_stored_row_ends_in_output_or_error(harvested_file, tmp_path, ar
     else:
         assert done.returncode == 1
         assert done.stderr.startswith("error: stored paper ") and done.stderr.count("\n") == 1
+
+
+# What a raw-SQL writer can put into a paper row's columns.
+_TEXT = st.one_of(
+    st.sampled_from(["", " ", "\n", "x\n", "\x00", "Ann\x00Bo", "\x1b[0m", "\u00b4",
+                     "\u2028", "Wei Chen", "acl", "ACL"]),
+    st.text(max_size=6), st.binary(max_size=3))
+_URL = st.one_of(
+    st.sampled_from(["https://anthology.test/x/", "relative/x", "/x", "http://",
+                     "https://[::1", "mailto:x@anthology.test", "https://anthology.test/x\n"]),
+    _TEXT)
+_NAME = st.one_of(st.sampled_from(["", " ", "\u00b4", "Ann\x00Bo", "x\n", "Wei Chen"]),
+                  st.text(max_size=6), st.none(), st.integers())
+_AUTHORS = st.one_of(
+    st.lists(_NAME, max_size=3).map(json.dumps),
+    st.sampled_from(["[]", "null", "5", "{}", '"x"', "not json", ""]), st.binary(max_size=3))
+_CLI_READS = [
+    ["query", "--format", "json"], ["query", "--format", "csv"],
+    ["query", "--format", "bibtex"], ["query", "--format", "table"],
+    ["filter", "--keyword-any", "x", "--author", "x", "--has-abstract", "--combine", "any",
+     "--format", "json"],
+    ["stats", "--by", "year", "--by", "venue", "--by", "author"],
+]
+
+
+# A valid paper row; each example spoils some of its columns.
+_GOOD_ROW = ("2099.x-1.1", "Title", '["Wei Chen"]', '["wei chen"]', "acl", 2099,
+             "https://anthology.test/2099.x-1.1/", None, None, None)
+
+
+@st.composite
+def hostile_rows(draw) -> tuple:
+    authors = draw(_AUTHORS)
+    spoilt = (
+        draw(_TEXT), draw(_TEXT), authors, draw(st.just(authors) | _AUTHORS),
+        draw(st.sampled_from(["acl", "ACL", "acl\n", "a b"]) | _TEXT),
+        draw(st.integers(1900, 2200) | st.sampled_from(["abc", "2022\n", 2022.5])
+             | st.binary(max_size=2)),
+        draw(_URL), draw(st.none() | _URL), draw(st.none() | _TEXT), draw(st.none() | _TEXT),
+    )
+    columns = draw(st.sets(st.integers(0, 9), min_size=1))
+    return tuple(spoilt[i] if i in columns else good for i, good in enumerate(_GOOD_ROW))
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(row=hostile_rows())
+def test_any_stored_row_ends_in_output_or_one_error_line(harvested_file, row):
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copy(harvested_file, Path(tmp) / "aclanthology.db")
+        conn = sqlite3.connect(Path(tmp) / "aclanthology.db")
+        with conn:
+            conn.execute("INSERT OR REPLACE INTO paper VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                         row)
+        conn.close()
+        for argv in _CLI_READS:
+            out, err = io.StringIO(), io.StringIO()
+            with mock.patch.dict(os.environ, AAH_DB=tmp), redirect_stdout(out), \
+                    redirect_stderr(err):
+                code = main(argv)
+            if code == 0:
+                assert out.getvalue(), argv
+            else:
+                assert code == 1, argv
+                assert err.getvalue().startswith("error: "), (argv, err.getvalue())
+                assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
 
 
 @pytest.mark.parametrize("argv, authors", [
@@ -352,6 +429,24 @@ def test_usage_error_creates_no_store(db_env, capsys, argv, message):
 def test_builder_error_names_its_type(db_env, capsys):
     assert main(["query", "--where", "year:between:2023,2021"]) == 1
     assert capsys.readouterr().err.startswith("error: BadArity: ")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--where", "bogus:eq:1"], "UnknownColumn: column 'bogus' not in table 'paper'"),
+    (["--where", "abstract:is_null:x"], "BadArity: is_null takes no value"),
+    (["--where", "year:between:2021"], "BadArity: between needs a (low, high) pair"),
+    (["--where", "year:eq"], "BadArity: eq needs a single scalar value"),
+    (["--limit", "-1"], "InvalidChain: limit must be non-negative"),
+    (["--order", "year:sideways"], "InvalidChain: direction must be asc/desc, got 'sideways'"),
+    (["--order", "year:desc:x"], "InvalidChain: direction must be asc/desc, got 'desc:x'"),
+], ids=["bad-column", "null-test-value", "between-arity", "no-value",
+        "negative-limit", "bad-direction", "order-extra-part"])
+def test_rejected_query_flag_creates_no_store(db_env, capsys, flags, message):
+    # The builder checks every query flag before the store is opened.
+    assert main(["query", *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert list(db_env.iterdir()) == []
 
 
 SEVEN_FLAGS = [

@@ -205,6 +205,14 @@ _CONFERENCE = dict(conf_id="acl-2022", venue_key="acl", year=2022, title="T",
      "author names 5, 'x' must be strings"),
     (PaperRecord, dict(authors=(AuthorName("x", None),)),
      "author names 'x', None must be strings"),
+    # A BLOB in a text column reads as bytes.
+    (PaperRecord, dict(title=b"\x00t"), "anthology_id 'x.1' and title b'\\x00t' must be strings"),
+    (PaperRecord, dict(anthology_id=b"x.1"), "anthology_id b'x.1' and title 'T' must be strings"),
+    (PaperRecord, dict(abstract=b"a"), "abstract and bibkey must be strings or None, "
+                                       "got bytes, NoneType"),
+    (PaperRecord, dict(bibkey=5), "abstract and bibkey must be strings or None, got NoneType, int"),
+    (ConferenceRecord, dict(year="abc"), "year 'abc' outside [1950, 2100]"),
+    (ConferenceRecord, dict(year=2022.0), "year 2022.0 outside [1950, 2100]"),
 ])
 def test_record_checks_raise_their_exact_message(record, fields, message):
     defaults = {PaperRecord: _PAPER, ConferenceRecord: _CONFERENCE, CrawlLog: {}}[record]

@@ -246,7 +246,7 @@ class TestParseProceedings:
         conf = make_conference()
         html = wrap('<section class="proceedings-page">'
                     '<div class="paper-list"></div></section>')
-        content, papers, report = parse_proceedings(html, conf)
+        _, papers, report = parse_proceedings(html, conf)
         assert papers == []
         assert report.records_extracted == 0
 
@@ -306,10 +306,9 @@ class TestParseProceedings:
             '<div class="paper-entry"><a class="paper-title" href="/2022.acl-long.7/">T</a></div>'
             '</div></section>'
             '<nav class="pagination"><a href="/proceedings/acl-2022-p2.html">next</a></nav>')
-        content, papers, _ = parse_proceedings(html, conf)
-        assert content.next_page_links == (
-            "https://anthology.test/proceedings/acl-2022-p2.html",)
-        assert content.paper_page_links == ("https://anthology.test/2022.acl-long.7/",)
+        next_links, papers, _ = parse_proceedings(html, conf)
+        assert next_links == ["https://anthology.test/proceedings/acl-2022-p2.html"]
+        assert [p.page_url for p in papers] == ["https://anthology.test/2022.acl-long.7/"]
 
     def test_pagination_link_not_http_skipped_with_warning(self):
         html = wrap(
@@ -317,9 +316,8 @@ class TestParseProceedings:
             '<div class="paper-entry"><a class="paper-title" href="/2022.acl-long.7/">T</a></div>'
             '</div></section><nav class="pagination"><a href="javascript:void(0)">x</a>'
             '<a href="/proceedings/acl-2022-p2.html">next</a></nav>')
-        content, papers, report = parse_proceedings(html, make_conference())
-        assert content.next_page_links == (
-            "https://anthology.test/proceedings/acl-2022-p2.html",)
+        next_links, papers, report = parse_proceedings(html, make_conference())
+        assert next_links == ["https://anthology.test/proceedings/acl-2022-p2.html"]
         assert len(papers) == 1
         assert report.warnings == (
             "pagination link 'javascript:void(0)' is not http(s), skipped",)
@@ -356,6 +354,6 @@ class TestDeepPages:
         deep = nest(html).replace(f">{title}</a>",
                                   ">" + "<span>" * DEPTH + title + "</span>" * DEPTH + "</a>")
         assert deep.count("<span>") >= DEPTH
-        content, papers, report = parse_proceedings(deep, conf)
+        next_links, papers, report = parse_proceedings(deep, conf)
         assert papers and title in [p.title for p in papers]
-        assert (content, papers, report) == parse_proceedings(html, conf)
+        assert (next_links, papers, report) == parse_proceedings(html, conf)

@@ -182,10 +182,10 @@ def test_generated_pages_reach_papers():
         if isinstance(result[0], type):
             found["error"] = True
             return
-        content, papers, report = result
+        next_links, papers, report = result
         found["papers"] |= bool(papers)
         found["warnings"] |= bool(report.warnings)
-        found["links"] |= bool(content.next_page_links)
+        found["links"] |= bool(next_links)
 
     probe()
     assert all(found.values()), found

@@ -17,7 +17,8 @@ from anthology_harvest import (
     upsert_papers,
 )
 from anthology_harvest.errors import BadArity
-from anthology_harvest.query import Builder, QueryAst, bind_params
+from anthology_harvest.query import (OPS, Builder, Condition, ConditionGroup, QueryAst,
+                                     bind_params)
 from conftest import make_paper, random_papers
 
 
@@ -94,6 +95,86 @@ class TestBuilderChaining:
         assert len(ast.conditions) == 2
         assert all(connector == "and" for connector, _ in ast.conditions)
         assert ast.conditions[0][1].op == "in"
+
+
+_YEAR = Condition("year", "eq", 2021)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda h: Condition("year", "badop", 5), BadArity,
+     f"unknown operator 'badop'; pick from {list(OPS)}"),
+    (lambda h: Condition("year", "in", []), BadArity, "in needs a non-empty list"),
+    (lambda h: Condition("year", "not_in", 2021), BadArity, "not_in needs a non-empty list"),
+    (lambda h: Condition("year", "between", [2021]), BadArity, "between needs a (low, high) pair"),
+    (lambda h: Condition("year", "between", (2023, 2021)), BadArity,
+     "between pair must be ordered, got (2023, 2021)"),
+    (lambda h: Condition("abstract", "is_null", "x"), BadArity, "is_null takes no value"),
+    (lambda h: Condition("year", "eq"), BadArity, "eq needs a single scalar value"),
+    (lambda h: Condition("year", "gt", [2021]), BadArity, "gt needs a single scalar value"),
+    (lambda h: ConditionGroup("xor", (_YEAR,)), InvalidChain,
+     "group joiner must be and/or, got 'xor'"),
+    (lambda h: ConditionGroup("and", ()), InvalidChain, "condition group must be non-empty"),
+    (lambda h: table("paper").where(year=2021), BadArity,
+     "conditions are positional; use where('col', 'op', value)"),
+    (lambda h: table("paper").where({}), BadArity, "empty condition mapping"),
+    (lambda h: table("paper").where("year", "eq", 2021, 2022), BadArity,
+     "cannot build a condition from ('year', 'eq', 2021, 2022)"),
+    (lambda h: table("paper").having("count", "gt", 3).build(), InvalidChain,
+     "having() requires group()"),
+    (lambda h: table("paper").offset(10).build(), InvalidChain, "offset() requires limit()"),
+    (lambda h: table("paper").field("title").count().build(), InvalidChain,
+     "aggregates cannot be combined with field()"),
+    (lambda h: table("paper").distinct().count().build(), InvalidChain,
+     "use distinct_count() instead of distinct() + aggregate"),
+    (lambda h: table("paper").group("year").field("year").build(), InvalidChain,
+     "group() fixes the select list; drop field()"),
+    (lambda h: table("paper").group("year").distinct().build(), InvalidChain,
+     "group() already deduplicates; drop distinct()"),
+    (lambda h: table("paper").group("year").order("title").build(), InvalidChain,
+     "order column 'title' must be grouped"),
+    (lambda h: table("paper").field("year").distinct().order("title").build(), InvalidChain,
+     "order column 'title' must be projected under distinct()"),
+    (lambda h: table("paper").group("year").having("title", "eq", "x").build(), InvalidChain,
+     "having() may reference 'count' or a grouped column"),
+    (lambda h: table("venue"), UnknownColumn,
+     "unknown table 'venue'; pick from ['conference', 'paper']"),
+    (lambda h: table("paper").field(), InvalidChain, "field() needs at least one column"),
+    (lambda h: table("paper").group(), InvalidChain, "group() needs at least one column"),
+    (lambda h: table("paper").group("year").having({"year": 2021, "venue_key": "acl"}),
+     InvalidChain, "having() takes exactly one condition"),
+    (lambda h: table("paper").limit(5).offset(-1), InvalidChain, "offset must be non-negative"),
+    (lambda h: table("paper").query(), InvalidChain,
+     "builder has no store bound; pass Builder(handle)"),
+    (lambda h: table("paper", h).count().find_one(), InvalidChain,
+     "find_one() applies to row queries, not aggregates"),
+], ids=["unknown-op", "in-empty", "not-in-scalar", "between-one", "between-unordered",
+        "null-test-value", "eq-no-value", "gt-list", "group-joiner", "group-empty",
+        "keyword-condition", "empty-mapping", "four-arguments", "having-no-group",
+        "offset-no-limit", "field-aggregate", "distinct-aggregate", "group-field",
+        "group-distinct", "order-not-grouped", "order-not-projected", "having-column",
+        "unknown-table", "field-none", "group-none", "having-two", "negative-offset",
+        "no-store", "find-one-aggregate"])
+def test_rejection_names_its_type_and_reason(mem_store, make, error, message):
+    with pytest.raises(error) as info:
+        make(mem_store)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_short_spellings_equal_the_explicit_eq_form(small_store):
+    handle, _ = small_store
+    pairs = [
+        (table("paper").where({"venue_key": "acl"}),
+         table("paper").where("venue_key", "eq", "acl")),
+        (table("paper").where("anthology_id", "2022.acl-long.3"),
+         table("paper").where("anthology_id", "eq", "2022.acl-long.3")),
+        (table("paper").where(Condition("venue_key", "eq", "acl")),
+         table("paper").where("venue_key", "eq", "acl")),
+    ]
+    for short, explicit in pairs:
+        assert short.build() == explicit.build()
+        assert execute(handle, short.build()) == execute(handle, explicit.build())
+    assert [row["anthology_id"] for row in execute(handle, pairs[1][0].build())] == [
+        "2022.acl-long.3"]
 
 
 class TestRenderSql:

@@ -321,6 +321,38 @@ def test_unreadable_stored_pages_are_parsed_again(fixtures_root, tmp_path, monke
     assert rows(db) == rows(clean)
 
 
+def test_failed_reharvest_records_the_attempt_and_keeps_the_papers(fixtures_root, tmp_path):
+    """A re-harvest that fails a stored conference rewrites its row with the
+    failed attempt and no paper_count, fetched_at, page digests or hop URLs;
+    its papers stay as last parsed, and the next harvest parses it again."""
+    site, db = tmp_path / "site", tmp_path / "s.db"
+    shutil.copytree(fixtures_root, site)
+    source = FixtureSource(root=site)
+    crawl(source, db, 2)
+    stored = rows(db)
+    page = site / "proceedings" / "acl-2021.html"
+    html = page.read_text(encoding="utf-8")
+    page.unlink()
+    report = crawl(source, db, 2)
+    assert report.per_conference["acl-2021"].status is CrawlStatus.FAILED
+    assert report.tasks_unchanged == 24
+    conn = sqlite3.connect(db)
+    try:
+        row = conn.execute("SELECT status, last_error, paper_count, fetched_at, page_digests, "
+                           "hop_urls FROM conference WHERE conf_id = 'acl-2021'").fetchone()
+    finally:
+        conn.close()
+    assert row[0] == "failed" and row[1]
+    assert row[2:] == (None, None, None, None)
+    assert rows(db)["paper"] == stored["paper"]
+    page.write_text(html, encoding="utf-8")
+    with counting_parses() as parses:
+        report = crawl(source, db, 2)
+    assert parses == ["acl-2021"]
+    assert report.tasks_unchanged == 24 and report.tasks_failed == 0
+    assert rows(db) == stored
+
+
 V1_CONFERENCE_DDL = """CREATE TABLE conference (
   conf_id TEXT PRIMARY KEY, venue_key TEXT NOT NULL, year INTEGER NOT NULL,
   title TEXT NOT NULL, "desc" TEXT, url TEXT NOT NULL, category TEXT NOT NULL,

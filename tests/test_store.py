@@ -345,6 +345,12 @@ class TestUpsertConference:
         assert len(rows) == 1
         assert rows[0].desc == "second"
 
+    def test_stored_text_year_fails_the_record_check(self, mem_store):
+        upsert_conference(mem_store, make_conference())
+        mem_store._write_batch([("UPDATE conference SET year = 'abc'", ())])
+        with pytest.raises(ValueError, match=r"^year 'abc' outside \[1950, 2100\]$"):
+            load_all_conferences(mem_store)
+
     def test_identical_reupsert_is_stable(self, mem_store):
         rec = make_conference()
         upsert_conference(mem_store, rec)
@@ -571,7 +577,7 @@ class TestLoadAll:
         upsert_papers(mem_store, [make_paper(aid="x.1")])
         mem_store._conn.execute("UPDATE paper SET page_url = 'not-a-url'")
         with pytest.raises(ValueError,
-                           match=r"^stored paper x\.1: page_url 'not-a-url' must be absolute$"):
+                           match=r"^stored paper 'x\.1': page_url 'not-a-url' must be absolute$"):
             load_all_papers(mem_store)
 
     def test_key_uniqueness_is_enforced(self, mem_store):
