@@ -35,7 +35,7 @@ _EXPORTS = {
              "upsert_conference upsert_crawl_batch upsert_papers",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
-_MODULES = frozenset(_EXPORTS) | {"cli", "config", "htmldoc", "mockserver"}
+_MODULES = frozenset(_EXPORTS) | {"cli", "htmldoc", "mockserver"}
 
 __all__ = sorted(_MODULE_OF)
 

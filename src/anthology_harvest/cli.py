@@ -4,6 +4,13 @@ Exit codes: 0 success (including empty results), 1 any error (a bad flag or
 setting, a failed store or file operation, a closed stdout), 2 a harvest that
 finished with some tasks failed, 130 interrupted (Ctrl-C).  Commands raise;
 ``main`` alone turns a failure into an exit code and one stderr line at most.
+
+Settings come from a TOML file, read by ``tomllib``: ``anthology.toml`` in
+the working directory, or the file ``--config`` names.  It may hold only the
+sections and keys of ``_KEY_TYPES``, each key checked for its type.  CLI
+flags override file values, and the ``AAH_DB`` environment variable
+overrides the store location.  A setting neither gives takes the library's
+own default (``StoreConfig``, ``CrawlConfig``, ``FetchPolicy``).
 """
 from __future__ import annotations
 
@@ -12,15 +19,27 @@ import json
 import os
 import re
 import sys
+import tomllib
 from pathlib import Path
 
 from . import query as query_mod
 from . import store as store_mod
-from .config import ToolConfig, load_config
 from .errors import HarvestError
+from .model import YEAR_MAX, YEAR_MIN
 from .paperlist import FilterRule, PaperList
-from .store import INT_COLUMNS
+from .store import INT_COLUMNS, StoreConfig
 
+DEFAULT_CONFIG_PATH = Path("anthology.toml")
+ENV_DB = "AAH_DB"
+
+# The known keys of each section, with their TOML types.
+_KEY_TYPES = {
+    "store": {"database_name": str, "location": str},
+    "crawl": {"venues": list, "year_start": int, "year_end": int, "workers": int,
+              "max_attempts": int, "base_backoff_ms": int, "timeout_ms": int,
+              "min_interval_ms": int, "source": str},
+}
+_TYPE_NAMES = {str: "a string", int: "an integer", list: "an array of strings"}
 _FORMATS = ("json", "csv", "bibtex", "table")
 _STAT_DIM_FLAGS = {"year": "year", "venue": "venue_key", "author": "author"}
 # What int() reads, less the digit-group underscores.
@@ -29,6 +48,54 @@ _INTEGER = re.compile(r"\s*[+-]?\d+\s*")
 
 class UsageError(Exception):
     pass
+
+
+def _section(data: dict, name: str) -> dict:
+    """The ``[name]`` table of ``data``, each key checked to be known and of
+    its type."""
+    table = data.get(name, {})
+    if not isinstance(table, dict):
+        raise ValueError(f"{name} must be a table")
+    for key, value in table.items():
+        if key not in _KEY_TYPES[name]:
+            raise ValueError(f"unknown setting {name}.{key}")
+        kind = _KEY_TYPES[name][key]
+        # bool is an int subclass, but `workers = true` is not a count.
+        valid = (isinstance(value, kind) and not isinstance(value, bool)
+                 and (kind is not list or all(isinstance(item, str) for item in value)))
+        if not valid:
+            raise ValueError(f"{name}.{key} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return dict(table)
+
+
+def load_settings(path: Path | None = None, env: dict[str, str] | None = None
+                  ) -> tuple[StoreConfig, dict]:
+    """Read the settings file (a missing default file sets nothing) and apply
+    the environment override for the store location; the ``[crawl]`` table
+    comes back holding only the keys the file sets."""
+    env = os.environ if env is None else env
+    target = path or DEFAULT_CONFIG_PATH
+    data: dict = {}
+    if Path(target).is_file():
+        try:
+            data = tomllib.loads(Path(target).read_text(encoding="utf-8"))
+        except (tomllib.TOMLDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{target}: {exc}") from None
+    elif path is not None:
+        raise ValueError(f"config file {path} not found")
+    for name, table in data.items():
+        if name not in _KEY_TYPES:
+            raise ValueError(f"unknown section [{name}]" if isinstance(table, dict)
+                             else f"unknown setting {name}")
+
+    store = _section(data, "store")
+    if env.get(ENV_DB):
+        store["location"] = env[ENV_DB]
+    crawl = _section(data, "crawl")
+    try:
+        return StoreConfig(**store), crawl
+    except ValueError as exc:
+        raise ValueError(f"store.{exc}") from None
 
 
 def _int(raw: str, what: str) -> int:
@@ -61,8 +128,9 @@ def _parse_where(spec: str) -> tuple[str, str, object]:
     if not rest:
         return column, op, None
     if op in ("in", "not_in", "between"):
-        return column, op, [_coerce(column, v) for v in rest[0].split(",") if v != ""]
-    return column, op, _coerce(column, rest[0])
+        return column, op, [_coerce(column, v) for v in rest[0].split(",")]
+    # A like pattern stays a string, on an integer column too.
+    return column, op, rest[0] if op == "like" else _coerce(column, rest[0])
 
 
 def _serialize(papers: PaperList, fmt: str) -> str:
@@ -86,25 +154,26 @@ def _table(papers: PaperList) -> str:
     return "\n".join(out) + "\n"
 
 
-def cmd_harvest(args: argparse.Namespace, cfg: ToolConfig) -> int:
+def cmd_harvest(args: argparse.Namespace, store: StoreConfig, crawl: dict) -> int:
     # The only command that crawls, so the only one that loads the crawler.
     from . import scheduler
-    from .fetcher import parse_source_spec
+    from .fetcher import FetchPolicy, parse_source_spec
 
-    crawl = cfg.crawl
-    years = _parse_years(args.years) if args.years else (crawl.year_start, crawl.year_end)
-    venues = tuple(v for v in (args.venues or "").split(",") if v) or crawl.venues
+    given = {"workers": args.workers, "source": args.source or None,
+             "venues": [v for v in (args.venues or "").split(",") if v] or None}
+    if args.years:
+        given["year_start"], given["year_end"] = _parse_years(args.years)
+    crawl = {**crawl, **{key: value for key, value in given.items() if value is not None}}
     try:
+        policy = FetchPolicy(**{k: crawl.pop(k) for k in FetchPolicy.__slots__ if k in crawl})
         config = scheduler.CrawlConfig(
-            venues=venues,
-            year_range=years,
-            workers=crawl.workers if args.workers is None else args.workers,
-            policy=crawl.policy(),
-            source=parse_source_spec(args.source or crawl.source),
-        )
+            venues=tuple(crawl.pop("venues", ())),
+            year_range=(crawl.pop("year_start", YEAR_MIN), crawl.pop("year_end", YEAR_MAX)),
+            source=parse_source_spec(crawl.pop("source", "live")),
+            policy=policy, **crawl)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    with store_mod.init_schema(cfg.store) as handle:
+    with store_mod.init_schema(store) as handle:
         report = scheduler.run_crawl(config, handle)
     if report.tasks_total == 0:
         print("0 tasks matched the venue/year filter; nothing to do")
@@ -122,7 +191,7 @@ def cmd_harvest(args: argparse.Namespace, cfg: ToolConfig) -> int:
     return 2 if report.tasks_failed else 0
 
 
-def cmd_query(args: argparse.Namespace, cfg: ToolConfig) -> int:
+def cmd_query(args: argparse.Namespace, store: StoreConfig, crawl: dict) -> int:
     # The whole chain is checked before the store is opened or created.
     builder = query_mod.table("paper")
     for spec in args.where or []:
@@ -133,7 +202,7 @@ def cmd_query(args: argparse.Namespace, cfg: ToolConfig) -> int:
     if args.limit is not None:
         builder = builder.limit(args.limit)
     ast = builder.build()
-    with store_mod.init_schema(cfg.store) as handle:
+    with store_mod.init_schema(store) as handle:
         papers = query_mod.hydrate_papers(query_mod.execute(handle, ast))
     sys.stdout.write(_serialize(papers, args.format))
     return 0
@@ -160,24 +229,24 @@ def _filter_rules(args: argparse.Namespace) -> list[FilterRule]:
     return rules
 
 
-def cmd_filter(args: argparse.Namespace, cfg: ToolConfig) -> int:
+def cmd_filter(args: argparse.Namespace, store: StoreConfig, crawl: dict) -> int:
     rules = _filter_rules(args)
     if not rules:
         raise UsageError("no filter rules given (--keyword-all/--keyword-any/"
                          "--author/--venues/--years/--has-abstract)")
-    with store_mod.init_schema(cfg.store) as handle:
+    with store_mod.init_schema(store) as handle:
         selected = store_mod.filter_stored(handle, rules, combine=args.combine)
     sys.stdout.write(_serialize(selected, args.format))
     return 0
 
 
-def cmd_stats(args: argparse.Namespace, cfg: ToolConfig) -> int:
+def cmd_stats(args: argparse.Namespace, store: StoreConfig, crawl: dict) -> int:
     if not args.by:
         raise UsageError("pass at least one --by dimension")
     for flag in args.by:
         if flag not in _STAT_DIM_FLAGS:
             raise UsageError(f"unknown dimension {flag!r}; pick from {sorted(_STAT_DIM_FLAGS)}")
-    with store_mod.init_schema(cfg.store) as handle:
+    with store_mod.init_schema(store) as handle:
         counts = store_mod.stats_stored(handle, [_STAT_DIM_FLAGS[flag] for flag in args.by])
     if args.format == "json":
         print(json.dumps(counts, ensure_ascii=False))
@@ -251,7 +320,7 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
-        code = _COMMANDS[args.command](args, load_config(args.config))
+        code = _COMMANDS[args.command](args, *load_settings(args.config))
         # A closed stdout fails here, not in the flush at interpreter exit.
         sys.stdout.flush()
         return code

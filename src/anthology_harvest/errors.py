@@ -27,7 +27,7 @@ class FetchError(HarvestError):
 
 
 class NotFound(FetchError):
-    """The target answered with a deterministic client error (4xx)."""
+    """The target answered a 4xx, or a redirect the fetcher cannot follow."""
 
 
 class Exhausted(FetchError):

@@ -3,9 +3,10 @@
 Three sources share one interface: ``live`` (the real site), ``mock`` (a
 local scriptable HTTP endpoint), and ``fixture`` (a directory of pages;
 zero network activity).  Network sources honour a retry policy -- 5xx and
-transport failures back off exponentially, 4xx fails immediately -- and a
-politeness rule: consecutive request *starts* across all workers are spaced
-at least ``min_interval_ms`` apart, enforced by one shared rate gate.
+transport failures back off exponentially, any other non-2xx answer (a 4xx,
+a redirect that cannot be followed) fails immediately -- and a politeness
+rule: consecutive request *starts* across all workers are spaced at least
+``min_interval_ms`` apart, enforced by one shared rate gate.
 
 Requests go out over ``http.client`` connections that a ``ConnectionPool``
 keeps open between requests (HTTP/1.1 persistent connections), so a crawl
@@ -313,14 +314,14 @@ def _http_get(url: str, timeout: float, pool: ConnectionPool,
     ``(status, body)``.
 
     The URL is percent-encoded for the request line.  A 301, 302, 303, 307
-    or 308 answer is followed to its ``Location`` (at most
+    or 308 answer is followed to an http(s) ``Location`` (at most
     ``_MAX_REDIRECTS`` times, all within this one call).  Each request,
     redirect hops included, starts when ``gate`` clears it and carries
     that start in its ``X-Request-Start`` header.  Any other status
-    outside 2xx comes back as its code with an empty body.  A
-    ``Content-Encoding: gzip`` body is decoded.  Transport failures raise
-    one of ``_TRANSIENT``; a URL that ``http.client`` rejects raises
-    ``InvalidURL`` or ``UnicodeError``.
+    outside 2xx, or a redirect not followed, comes back as its code with
+    an empty body.  A ``Content-Encoding: gzip`` body is decoded.
+    Transport failures raise one of ``_TRANSIENT``; a URL that
+    ``http.client`` rejects raises ``InvalidURL`` or ``UnicodeError``.
     """
     target = quote(url, safe=_URL_SAFE).split("#", 1)[0]
     for redirects in range(_MAX_REDIRECTS + 1):
@@ -351,10 +352,11 @@ def fetch(url: str, policy: FetchPolicy, source: Source, *,
 
     Returns the body on 2xx.  Retries with exponential backoff on 5xx and
     transport failures (connection errors, timeouts, truncated answers,
-    corrupt gzip bodies), up to ``policy.max_attempts``; 4xx fails
-    immediately.  Every request of an attempt, redirect hops included, is a
-    request start for politeness spacing, and is sent once: a request is
-    never repeated unless an attempt is spent on it.
+    corrupt gzip bodies), up to ``policy.max_attempts``; any other answer
+    (a 4xx, or a redirect ``_http_get`` does not follow) fails at once.
+    Every request of an attempt, redirect hops included, is a request
+    start for politeness spacing, and is sent once: a request is never
+    repeated unless an attempt is spent on it.
 
     Requests start when ``gate`` clears them (a fresh gate when none is
     given, which spaces only this call's requests) and go over connections
@@ -362,7 +364,7 @@ def fetch(url: str, policy: FetchPolicy, source: Source, *,
     closes it before returning.
 
     Raises:
-        NotFound: 4xx answer, or a missing fixture file.
+        NotFound: a non-2xx answer below 500, or a missing fixture file.
         Exhausted: all retry attempts spent on transient failures.
         Unresolvable: malformed URL (bad port or host name included) or
             unresolvable fixture path.
@@ -404,7 +406,7 @@ def _fetch_http(url: str, policy: FetchPolicy, gate: RateGate,
             if 200 <= status < 300:
                 return FetchResult(url=url, body=body, status=status,
                                    attempts_used=attempt)
-            if 400 <= status < 500:
+            if status < 500:
                 raise NotFound(f"{url} answered {status}",
                                url=url, attempts_used=attempt)
             last_reason = f"status {status}"

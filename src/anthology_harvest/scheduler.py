@@ -61,7 +61,7 @@ class CrawlConfig:
     """What to crawl and how hard to push."""
 
     venues: tuple[str, ...] = ()  # empty means every discovered venue
-    year_range: tuple[int, int] = (1950, 2100)
+    year_range: tuple[int, int] = (model.YEAR_MIN, model.YEAR_MAX)
     workers: int = 8
     policy: FetchPolicy = field(default_factory=FetchPolicy)
     source: Source = None  # type: ignore[assignment]

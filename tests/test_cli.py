@@ -8,16 +8,18 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import asdict, replace
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anthology_harvest import CrawlConfig, FetchPolicy, FixtureSource
-from anthology_harvest.cli import main
-from anthology_harvest.config import CrawlDefaults, load_config
+from anthology_harvest import CrawlConfig, LiveSource, scheduler
+from anthology_harvest.cli import _parse_where, load_settings, main
+from anthology_harvest.model import YEAR_MAX
 from anthology_harvest.store import StoreConfig
 from conftest import FIXTURES, REPO_ROOT, copy_without_base
 
@@ -216,6 +218,16 @@ class TestQuery:
         rows = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
         assert len(rows) == 3
         assert all(r["year"] == 2023 for r in rows)
+
+    def test_like_on_an_integer_column(self, harvested, capsys):
+        code = main(["query", "--where", "year:like:202%", "--format", "json"])
+        assert code == 0
+        years = {json.loads(l)["year"] for l in capsys.readouterr().out.splitlines()}
+        assert years == {2020, 2021, 2022, 2023}
+
+    def test_list_keeps_empty_items(self):
+        # A text column then matches "" literally.
+        assert _parse_where("title:in:a,,b") == ("title", "in", ["a", "", "b"])
 
     def test_is_null_filter(self, harvested, capsys):
         code = main(["query", "--where", "abstract:is_null", "--format", "json"])
@@ -419,7 +431,12 @@ def test_report_json_into_missing_directory(db_env):
                                      "--author/--venues/--years/--has-abstract)"),
     (["query", "--where", "year:eq:20x"], "column 'year' wants an integer, got '20x'"),
     (["harvest", "--years", "2021..20x"], "--years wants an integer, got '20x'"),
-], ids=["stats-bogus", "stats-no-by", "filter-no-rules", "query-bad-int", "harvest-bad-years"])
+    (["harvest", "--years", "2021"], "--years wants A..B, got '2021'"),
+    (["harvest", "--years", "2023..2021"], "--years start 2023 > end 2021"),
+    (["query", "--where", "year"], "--where wants col:op[:value], got 'year'"),
+    (["query", "--where", "year:in:2021,,2022"], "column 'year' wants an integer, got ''"),
+], ids=["stats-bogus", "stats-no-by", "filter-no-rules", "query-bad-int", "harvest-bad-years",
+        "harvest-one-year", "harvest-reversed-years", "query-no-op", "query-empty-int-item"])
 def test_usage_error_creates_no_store(db_env, capsys, argv, message):
     assert main(argv) == 1
     assert capsys.readouterr().err == f"usage error: {message}\n"
@@ -558,11 +575,20 @@ class TestConfigFile:
         assert (envdir / "aclanthology.db").exists()
         assert not (filedir / "aclanthology.db").exists()
 
-    def test_crawl_defaults_are_the_library_defaults(self):
-        defaults, library = CrawlDefaults(), CrawlConfig(source=FixtureSource(root=FIXTURES))
-        assert defaults.policy() == FetchPolicy()
-        assert defaults.workers == library.workers
-        assert (defaults.year_start, defaults.year_end) == library.year_range
+    @pytest.mark.parametrize("text, changes", [
+        (None, {}),
+        ("[crawl]\nyear_start = 2020\n", {"year_range": (2020, YEAR_MAX)}),
+    ], ids=["no-settings-file", "year-start-only"])
+    def test_unset_crawl_settings_take_the_library_defaults(self, db_env, monkeypatch,
+                                                            text, changes):
+        monkeypatch.chdir(db_env)
+        if text is not None:
+            (db_env / "anthology.toml").write_text(text, encoding="utf-8")
+        crawled = []
+        monkeypatch.setattr(scheduler, "run_crawl", lambda config, handle: (
+            crawled.append(config) or SimpleNamespace(tasks_total=0)))
+        assert main(["harvest"]) == 0
+        assert crawled == [replace(CrawlConfig(source=LiveSource()), **changes)]
 
     def test_missing_explicit_config_exit_one(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "none.toml"), "stats", "--by", "year"]) == 1
@@ -573,21 +599,22 @@ class TestConfigFile:
         example = readme.split("### Settings file", 1)[1].split("```toml\n", 1)[1]
         cfg = tmp_path / "anthology.toml"
         cfg.write_text(example.split("```", 1)[0], encoding="utf-8")
-        loaded = load_config(cfg, env={})
-        assert loaded.store == StoreConfig(database_name="aclanthology", location=".")
-        assert loaded.crawl == CrawlDefaults(
-            venues=("acl", "emnlp"), year_start=2021, year_end=2023, workers=8,
+        store, crawl = load_settings(cfg, env={})
+        assert store == StoreConfig(database_name="aclanthology", location=".")
+        assert crawl == dict(
+            venues=["acl", "emnlp"], year_start=2021, year_end=2023, workers=8,
             max_attempts=3, base_backoff_ms=500, timeout_ms=15000, min_interval_ms=250,
             source="fixture:fixtures")
 
     @pytest.mark.parametrize("text, section, key, value", [
         ('[store]\nlocation = "x #2"\n', "store", "location", "x #2"),
-        ('[crawl]\nvenues = ["a,b"]\n', "crawl", "venues", ("a,b",)),
+        ('[crawl]\nvenues = ["a,b"]\n', "crawl", "venues", ["a,b"]),
     ], ids=["comment-sign-in-string", "comma-in-array-item"])
     def test_toml_strings_read_whole(self, tmp_path, text, section, key, value):
         cfg = tmp_path / "anthology.toml"
         cfg.write_text(text, encoding="utf-8")
-        assert getattr(getattr(load_config(cfg, env={}), section), key) == value
+        store, crawl = load_settings(cfg, env={})
+        assert {"store": asdict(store), "crawl": crawl}[section][key] == value
 
     @pytest.mark.parametrize("text, message", [
         ("[crawl]\nworkers = 007\n", "anthology.toml"),
@@ -602,9 +629,10 @@ class TestConfigFile:
         ('[paths]\nfixture_root = "fixtures"\n', "unknown section [paths]"),
         ("workers = 2\n", "unknown setting workers"),
         ("[crawl.retry]\nmax_attempts = 2\n", "unknown setting crawl.retry"),
+        ('store = "x"\n', "store must be a table"),
     ], ids=["leading-zero", "duplicate-key", "string-workers", "string-venues",
             "bool-workers", "empty-database-name", "unknown-key", "unknown-section",
-            "paths-section", "top-level-key", "unknown-subtable"])
+            "paths-section", "top-level-key", "unknown-subtable", "store-not-a-table"])
     def test_bad_settings_exit_one(self, db_env, tmp_path, capsys, text, message):
         cfg = tmp_path / "anthology.toml"
         cfg.write_text(text, encoding="utf-8")

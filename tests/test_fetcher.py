@@ -317,6 +317,18 @@ class TestTransport:
         assert res.attempts_used == 1
         assert server.paths == ["/p.html", "/q.html"]
 
+    @pytest.mark.parametrize("location, requests", [
+        ({"Location": "/p.html"}, 11),  # the first request and 10 hops
+        ({}, 1),
+        ({"Location": "ftp://files.invalid/p.html"}, 1),
+    ], ids=["self-loop", "no-location", "non-http-target"])
+    def test_unfollowable_redirect_fails_at_once(self, location, requests):
+        with ReplyServer([(302, location, b"moved")]) as server:
+            with pytest.raises(NotFound, match="answered 302") as err:
+                fetch("/p.html", FAST, server.source)
+        assert err.value.attempts_used == 1
+        assert len(server.paths) == requests
+
     def test_redirect_hop_waits_for_the_gate(self):
         policy = FetchPolicy(max_attempts=1, timeout_ms=2000, min_interval_ms=200)
         moved = (301, {"Location": "/q.html"}, b"moved")

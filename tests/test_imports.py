@@ -63,7 +63,7 @@ for argv in (["query", "--limit", "5", "--format", "json"],
     modules = loaded(script, AAH_DB=str(store_dir))
     assert not modules & CRAWLER
     assert package_modules(modules) == {f"anthology_harvest.{name}" for name in (
-        "cli", "config", "store", "query", "paperlist", "model", "errors")}
+        "cli", "store", "query", "paperlist", "model", "errors")}
 
 
 def test_mock_server_does_not_load_the_store():

@@ -51,7 +51,7 @@ class TestPlanTasks:
         return {"acl": [make_conference(venue="acl", year=y) for y in range(2019, 2024)]}
 
     def test_venue_and_year_filter(self):
-        pages = self._pages()
+        pages = {**self._pages(), "emnlp": [make_conference(venue="emnlp", year=2022)]}
         config = CrawlConfig(venues=("acl",), year_range=(2021, 2023), workers=1,
                              policy=FAST_POLICY, source=FixtureSource(root=Path(".")))
         plan = plan_tasks(config, pages)
