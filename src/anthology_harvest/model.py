@@ -20,8 +20,8 @@ YEAR_MIN = 1950
 YEAR_MAX = 2100
 
 _WS_RE = re.compile(r"\s+")
-# The C0 control characters that are not whitespace.  SQLite's json_each
-# cuts a decoded string at U+0000, so no stored normalized name may hold one.
+# The C0 control characters that are not whitespace.  filter's author rule uses
+# SQLite's json_each, which cuts a string at U+0000: no stored name may hold one.
 _C0_RE = re.compile(r"[\x00-\x08\x0e-\x1b]")
 _NON_TOKEN_RE = re.compile(r"[^a-z0-9]+")
 _STR_OR_NONE = (str, type(None))

@@ -30,9 +30,10 @@ normalized names joined by ``" | "``; version 1 had no page digests.
 ``init_schema`` migrates an older store to version 2 in one transaction and
 writes nothing to an up-to-date one.
 
-``filter_stored`` and ``stats_stored`` evaluate filter rules and stats
-dimensions inside SQLite, with the same meaning as ``paperlist.filter_papers``
-and ``paperlist.stats`` over the hydrated table.
+``filter_stored`` evaluates filter rules in SQLite and ``stats_stored`` groups
+there, but counts the author dimension in one scan in Python, where a paper
+whose names are not a JSON array of strings fails as ``stored paper …``.  Both
+equal ``paperlist.filter_papers`` and ``paperlist.stats`` on the hydrated table.
 """
 from __future__ import annotations
 
@@ -557,11 +558,8 @@ def filter_stored(h: Store, rules: Iterable[FilterRule], combine: str = "all") -
     return PaperList(items=tuple(paper_from_row(r) for r in rows))
 
 
-_DIM_SQL = {"year": "year", "venue_key": "venue_key", "author": "a.value"}
-
-
 def stats_stored(h: Store, dims: Iterable[str]) -> dict:
-    """Nested counts by the dimension tuple, grouped in SQL.
+    """Nested counts by the dimension tuple, grouped in SQL or, with ``author``, in one scan.
 
     Equal to ``paperlist.stats(load_all_papers(h), dims)``, key order
     included: a paper counts once per distinct normalized author, and a
@@ -569,31 +567,53 @@ def stats_stored(h: Store, dims: Iterable[str]) -> dict:
 
     Raises:
         BadDims: empty, duplicated, or unknown dimensions.
-        ValueError: a grouped year or venue key is stored as a BLOB.
+        ValueError: a grouped year or venue key is stored as a BLOB, or a
+            paper's names are not a JSON array of strings (``stored paper …``).
     """
     dim_list = check_dims(dims)
-    columns = ", ".join(_DIM_SQL[d] for d in dim_list)
-    if "author" in dim_list:
-        source = "paper LEFT JOIN json_each(paper.authors_normalized) AS a"
-        count = "COUNT(DISTINCT anthology_id)"
-    else:
-        source, count = "paper", "COUNT(*)"
-    # SQL's order is paperlist.stats's str(key) order: four-digit years, code-point text.
     tree: dict = {}
-    for row in h.execute_sql(f"SELECT {columns}, {count} FROM {source} "
-                             f"GROUP BY {columns} ORDER BY {columns}"):
-        *keys, n = row.values()
-        node = tree
-        for depth, key in enumerate(keys):
-            if key is None:  # no author: the branch above exists, nothing below
-                break
-            if type(key) is bytes:  # a BLOB written by hand: no output format takes it
-                raise ValueError(f"stored {dim_list[depth]} {key!r} is a BLOB")
-            if depth == len(keys) - 1:
-                node[key] = n
-            else:
+    if "author" not in dim_list:
+        columns = ", ".join(dim_list)
+        for row in h.execute_sql(f"SELECT {columns}, COUNT(*) FROM paper GROUP BY {columns}"):
+            *keys, last, n = row.values()
+            node = tree
+            for key in keys:
                 node = node.setdefault(key, {})
-    return tree
+            node[last] = n
+        return _ordered(tree, dim_list)
+    at = dim_list.index("author")
+    above, below = dim_list[:at], dim_list[at + 1:]
+    columns = ", ".join([*above, *below, "authors_normalized", "anthology_id"])
+    for row in h.execute_sql(f"SELECT {columns} FROM paper"):
+        node = tree
+        for dim in above:
+            node = node.setdefault(row[dim], {})
+        try:  # the names are checked as they are counted: one pass over each list
+            if type(names := _decode_json(row["authors_normalized"])) is not list:
+                raise TypeError
+            for name in dict.fromkeys(names):  # a TypeError: an unhashable name
+                if type(name) is not str:
+                    raise TypeError
+                leaf = node
+                for dim in below:  # the name, then each key but the last, is a branch
+                    leaf, name = leaf.setdefault(name, {}), row[dim]
+                leaf[name] = leaf.get(name, 0) + 1
+        except (TypeError, ValueError) as exc:  # not text, not JSON, not strings
+            raise ValueError(f"stored paper {row['anthology_id']!r}: authors_normalized "
+                             "must be a JSON array of strings") from exc
+    return _ordered(tree, dim_list)
+
+
+def _ordered(tree: dict, dims: list[str]) -> dict:
+    """``tree`` with each level's keys in SQL's order: numbers, text by code point, BLOBs."""
+    try:
+        keys = sorted(tree)
+    except TypeError:  # types mixed on one level, by a hand-written row
+        keys = sorted(tree, key=lambda key: (type(key) is bytes, type(key) is str, key))
+    if keys and type(keys[-1]) is bytes:  # written by hand: no output format takes it
+        raise ValueError(f"stored {dims[0]} {keys[-1]!r} is a BLOB")
+    rest = dims[1:]
+    return {key: _ordered(tree[key], rest) if rest else tree[key] for key in keys}
 
 
 def load_all_conferences(h: Store) -> list[ConferenceRecord]:

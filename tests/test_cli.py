@@ -324,6 +324,46 @@ def test_hostile_stored_row_ends_in_output_or_error(harvested_file, tmp_path, ar
         assert done.stderr.startswith("error: stored paper ") and done.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("names", ["{}", "[null]", "[[1]]", "not json"],
+                         ids=["object", "null-name", "array-name", "not-json"])
+def test_bad_name_array_names_the_row(harvested_file, tmp_path, names):
+    shutil.copy(harvested_file, tmp_path / "aclanthology.db")
+    conn = sqlite3.connect(tmp_path / "aclanthology.db")
+    with conn:
+        (aid,) = conn.execute("SELECT MIN(anthology_id) FROM paper").fetchone()
+        conn.execute("UPDATE paper SET authors_normalized = ? WHERE anthology_id = ?",
+                     (names, aid))
+    conn.close()
+    stats = run_cli(tmp_path, "stats", "--by", "venue", "--by", "author")
+    assert (stats.returncode, stats.stdout) == (1, "")
+    assert stats.stderr == (f"error: stored paper {aid!r}: "
+                            "authors_normalized must be a JSON array of strings\n")
+    query = run_cli(tmp_path, "query", "--format", "json")
+    assert query.returncode == 1
+    assert query.stderr.startswith(f"error: stored paper {aid!r}: ")
+    assert query.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("dims", [["year"], ["year", "venue"], ["year", "author"]],
+                         ids="/".join)
+def test_stats_orders_numbers_before_text(harvested_file, tmp_path, dims):
+    # Years written by hand as text and as a real come out in SQL's ORDER BY order.
+    shutil.copy(harvested_file, tmp_path / "aclanthology.db")
+    conn = sqlite3.connect(tmp_path / "aclanthology.db")
+    with conn:
+        conn.execute("UPDATE paper SET year = 'abc' WHERE anthology_id = "
+                     "(SELECT MIN(anthology_id) FROM paper)")
+        conn.execute("UPDATE paper SET year = 2021.5 WHERE anthology_id = "
+                     "(SELECT MAX(anthology_id) FROM paper)")
+        years = [str(year) for (year,) in
+                 conn.execute("SELECT DISTINCT year FROM paper ORDER BY year")]
+    conn.close()
+    assert years[-2:] == ["2023", "abc"] and "2021.5" in years
+    done = run_cli(tmp_path, "stats", *(f"--by={dim}" for dim in dims), "--format", "json")
+    assert done.returncode == 0, done.stderr
+    assert list(json.loads(done.stdout)) == years
+
+
 # What a raw-SQL writer can put into a paper row's columns.
 _TEXT = st.one_of(
     st.sampled_from(["", " ", "\n", "x\n", "\x00", "Ann\x00Bo", "\x1b[0m", "\u00b4",

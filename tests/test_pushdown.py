@@ -1,8 +1,10 @@
-"""The store's SQL filter and stats against the in-memory reference.
+"""The store's filter and stats against the in-memory reference.
 
-``filter_stored`` and ``stats_stored`` evaluate rules and dimensions inside
-SQLite; ``filter_papers`` and ``stats`` over ``load_all_papers`` are the
-reference.  Results must be equal, order included.
+``filter_stored`` evaluates rules inside SQLite; ``stats_stored`` groups
+inside SQLite, but counts the author dimension in one scan in Python (a bad
+name array fails as ``stored paper …``, checked in ``test_cli.py``).
+``filter_papers`` and ``stats`` over ``load_all_papers`` are the reference.
+Results must be equal, order included.
 """
 import itertools
 
@@ -190,5 +192,5 @@ class TestStatsEquivalence:
 
 
 def test_nul_in_author_name():
-    # SQLite's json_each cuts a decoded string at U+0000; normalized names hold none.
+    # Normalized names hold no U+0000, which filter's json_each would cut a string at.
     check_stats([make_paper(aid="h.1", authors=("Ann\x00Bo",))], ["author"])
