@@ -559,11 +559,11 @@ def filter_stored(h: Store, rules: Iterable[FilterRule], combine: str = "all") -
 
 
 def stats_stored(h: Store, dims: Iterable[str]) -> dict:
-    """Nested counts by the dimension tuple, grouped in SQL or, with ``author``, in one scan.
+    """Nested counts by the dimension tuple, from one query walked into one tree.
 
-    Equal to ``paperlist.stats(load_all_papers(h), dims)``, key order
-    included: a paper counts once per distinct normalized author, and a
-    paper without authors leaves only the branch above the author level.
+    SQLite counts each group; by author each paper is a row, counted once at
+    each distinct normalized name (with none, only the branch above ``author``).
+    Equal to ``paperlist.stats(load_all_papers(h), dims)``, key order included.
 
     Raises:
         BadDims: empty, duplicated, or unknown dimensions.
@@ -571,42 +571,42 @@ def stats_stored(h: Store, dims: Iterable[str]) -> dict:
             paper's names are not a JSON array of strings (``stored paper …``).
     """
     dim_list = check_dims(dims)
-    tree: dict = {}
-    if "author" not in dim_list:
-        columns = ", ".join(dim_list)
-        for row in h.execute_sql(f"SELECT {columns}, COUNT(*) FROM paper GROUP BY {columns}"):
-            *keys, last, n = row.values()
-            node = tree
-            for key in keys:
-                node = node.setdefault(key, {})
-            node[last] = n
-        return _ordered(tree, dim_list)
-    at = dim_list.index("author")
+    by_author = "author" in dim_list
+    at = dim_list.index("author") if by_author else len(dim_list) - 1
     above, below = dim_list[:at], dim_list[at + 1:]
-    columns = ", ".join([*above, *below, "authors_normalized", "anthology_id"])
-    for row in h.execute_sql(f"SELECT {columns} FROM paper"):
+    columns = ", ".join([*above, *below, "authors_normalized", "anthology_id"] if by_author
+                        else dim_list)
+    sql = (f"SELECT {columns}, 1 AS n FROM paper" if by_author  # a row per paper
+           else f"SELECT {columns}, COUNT(*) AS n FROM paper GROUP BY {columns}")  # per group
+    tree: dict = {}
+    for row in h.execute_sql(sql):
         node = tree
         for dim in above:
             node = node.setdefault(row[dim], {})
-        try:  # the names are checked as they are counted: one pass over each list
-            if type(names := _decode_json(row["authors_normalized"])) is not list:
-                raise TypeError
-            for name in dict.fromkeys(names):  # a TypeError: an unhashable name
-                if type(name) is not str:
-                    raise TypeError
-                leaf = node
-                for dim in below:  # the name, then each key but the last, is a branch
-                    leaf, name = leaf.setdefault(name, {}), row[dim]
-                leaf[name] = leaf.get(name, 0) + 1
-        except (TypeError, ValueError) as exc:  # not text, not JSON, not strings
-            raise ValueError(f"stored paper {row['anthology_id']!r}: authors_normalized "
-                             "must be a JSON array of strings") from exc
+        for key in _distinct_names(row) if by_author else (row[dim_list[-1]],):
+            leaf = node
+            for dim in below:  # this key, then each value but the last, is a branch
+                leaf, key = leaf.setdefault(key, {}), row[dim]
+            leaf[key] = leaf.get(key, 0) + row["n"]
     return _ordered(tree, dim_list)
+
+
+def _distinct_names(row: dict) -> dict:
+    """The row's normalized names, each once, in stored order."""
+    try:
+        names = _decode_json(row["authors_normalized"])
+        if type(names) is list:
+            "".join(names)  # a TypeError: a name that is not a string
+            return dict.fromkeys(names)
+    except (TypeError, ValueError):  # not text, or not JSON
+        pass
+    raise ValueError(f"stored paper {row['anthology_id']!r}: authors_normalized "
+                     "must be a JSON array of strings")
 
 
 def _ordered(tree: dict, dims: list[str]) -> dict:
     """``tree`` with each level's keys in SQL's order: numbers, text by code point, BLOBs."""
-    try:
+    try:  # the plain sort first: a key call per name would slow each by-author level
         keys = sorted(tree)
     except TypeError:  # types mixed on one level, by a hand-written row
         keys = sorted(tree, key=lambda key: (type(key) is bytes, type(key) is str, key))
