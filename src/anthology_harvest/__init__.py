@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 
 # The public names, by the module that defines them.
 _EXPORTS = {
-    "errors": "BadDims DuplicateInBatch EmptyInput EmptyPlan EmptyRuleSet Exhausted "
+    "errors": "BadDims DuplicateInBatch EmptyInput EmptyRuleSet Exhausted "
               "HarvestError InvalidChain MissingColumn NotFound StoreUnavailable "
               "StructureError UnknownColumn UnrecognizedPage Unresolvable",
     "fetcher": "ConnectionPool FetchPolicy FixtureSource LiveSource MockSource RateGate "

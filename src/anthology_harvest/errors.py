@@ -68,7 +68,3 @@ class EmptyRuleSet(HarvestError):
 
 class BadDims(HarvestError):
     """stats() received an empty, duplicated, or unknown dimension list."""
-
-
-class EmptyPlan(HarvestError):
-    """The crawl filter matched no conferences (warning-level, not fatal)."""

@@ -238,17 +238,16 @@ def _is_dropped(sock: socket.socket) -> bool:
 
 
 class ConnectionPool:
-    """Idle connections kept open for reuse, at most ``size`` per origin
-    (``scheme``, ``host[:port]``).
-
-    A connection is taken for one exchange and given back only when its
-    answer was read to the end and the server keeps it open; one that
-    failed is closed.  Before an idle connection is reused it is dropped if
-    the server has closed it meanwhile.  Thread-safe.
+    """Idle connections kept open for reuse, per origin (``scheme``,
+    ``host[:port]``).  A connection is opened only when its origin has no
+    idle one, and the thread that took it for one exchange gives it back,
+    so an origin never holds more connections than threads fetching from it
+    at once.  One whose exchange failed or that the server closes is closed,
+    and an idle one the server has closed meanwhile is dropped before reuse.
+    Thread-safe.
     """
 
-    def __init__(self, size: int):
-        self._size = size
+    def __init__(self) -> None:
         self._idle: dict[tuple[str, str], list[_Link]] = {}
         self._lock = threading.Lock()
 
@@ -267,13 +266,11 @@ class ConnectionPool:
 
     def give(self, scheme: str, host: str, link: _Link) -> None:
         """Return a connection whose last answer was read to the end."""
-        if link.conn.sock is not None:  # None: the server asked to close it
-            with self._lock:
-                idle = self._idle.setdefault((scheme, host), [])
-                if len(idle) < self._size:
-                    idle.append(link)
-                    return
-        link.conn.close()
+        if link.conn.sock is None:  # the server asked to close it
+            link.conn.close()
+            return
+        with self._lock:
+            self._idle.setdefault((scheme, host), []).append(link)
 
     def close(self) -> None:
         """Close every idle connection."""
@@ -380,7 +377,7 @@ def fetch(url: str, policy: FetchPolicy, source: Source, *,
         gate = RateGate(policy.min_interval_ms)
     if pool is not None:
         return _fetch_http(url, policy, gate, pool)
-    pool = ConnectionPool(1)
+    pool = ConnectionPool()
     try:
         return _fetch_http(url, policy, gate, pool)
     finally:

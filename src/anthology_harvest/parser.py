@@ -360,7 +360,8 @@ def parse_proceedings(html: str, conference: ConferenceRecord, *,
                 try:
                     authors.append(normalize_author(name))
                 except EmptyInput:
-                    continue
+                    warnings.append(f"entry {position}: author {name!r} is empty once "
+                                    "normalized, skipped")
 
         abstract_node = fields.get("paper-abstract")
         abstract = page.text(abstract_node) if abstract_node is not None else None

@@ -7,8 +7,8 @@ executes the tasks on the same pool.  Each task is fetch -> parse -> persist;
 pagination links found on a proceedings page are followed within the task.
 The workers share only the fetcher's rate gate and connection pool, the
 request count, and the store's serialized write path; everything else they
-touch is immutable.  The connection pool keeps at most one idle connection
-per worker and origin, and is closed once the workers have stopped.
+touch is immutable.  The connection pool holds at most one connection per
+worker and origin, and is closed once the workers have stopped.
 
 A worker writes each task's outcome as one batch, all or nothing, into the
 store's open transaction, then hands the calling thread a token on a queue
@@ -42,7 +42,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import htmldoc, model, parser, store as store_mod
-from .errors import EmptyInput, EmptyPlan, FetchError, StoreUnavailable
+from .errors import EmptyInput, FetchError, StoreUnavailable
 from .fetcher import ConnectionPool, FetchPolicy, RateGate, Source, fetch
 from .model import (
     Category,
@@ -58,22 +58,26 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class CrawlConfig:
-    """What to crawl and how hard to push."""
+    """What to crawl and how hard to push.  Once built, ``venues`` holds
+    canonical venue keys, each once, in the order given."""
 
     venues: tuple[str, ...] = ()  # empty means every discovered venue
     year_range: tuple[int, int] = (model.YEAR_MIN, model.YEAR_MAX)
     workers: int = 8
     policy: FetchPolicy = field(default_factory=FetchPolicy)
-    source: Source = None  # type: ignore[assignment]
+    source: Source = field(kw_only=True)
 
     def __post_init__(self) -> None:
+        try:
+            venues = tuple(dict.fromkeys(map(canonical_venue, self.venues)))
+        except EmptyInput as exc:
+            raise ValueError(str(exc)) from None
+        object.__setattr__(self, "venues", venues)
         start, end = self.year_range
         if start > end:
             raise ValueError(f"year_range start {start} > end {end}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.source is None:
-            raise ValueError("source is required")
 
 
 @dataclass(frozen=True)
@@ -97,24 +101,16 @@ def plan_tasks(config: CrawlConfig, venue_pages: dict[str, list[ConferenceRecord
 
     Keeps the conferences whose venue is requested (all, when the config
     names none) and whose year falls in the range, deduplicated by conf_id
-    and ordered by (venue_key, year).
-
-    Raises:
-        EmptyPlan: the filter matched nothing (callers treat as a warning).
+    and ordered by (venue_key, year); empty when nothing matches.
     """
-    wanted = {canonical_venue(v) for v in config.venues} if config.venues else None
     start, end = config.year_range
     picked: dict[str, ConferenceRecord] = {}
     for venue_key, records in venue_pages.items():
-        if wanted is not None and venue_key not in wanted:
+        if config.venues and venue_key not in config.venues:
             continue
         for rec in records:
             if start <= rec.year <= end and rec.conf_id not in picked:
                 picked[rec.conf_id] = rec
-    if not picked:
-        raise EmptyPlan(
-            f"no conferences match venues={list(config.venues) or 'all'} "
-            f"years={start}..{end}")
     return sorted(picked.values(), key=lambda r: (r.venue_key, r.year))
 
 
@@ -148,9 +144,10 @@ def page_digest(url: str, body: bytes, conf: ConferenceRecord | None = None) -> 
 
 @dataclass
 class _Pages:
-    """What one task has fetched so far: attempts, and the digest of every
-    page and the URL of every pagination hop, in crawl order."""
+    """What the task of ``conf`` has fetched so far: attempts, and the digest
+    of every page and the URL of every pagination hop, in crawl order."""
 
+    conf: ConferenceRecord
     attempts: int = 0
     digests: bytearray = field(default_factory=bytearray)
     hop_urls: list[str] = field(default_factory=list)
@@ -163,7 +160,7 @@ class CrawlSession:
         self.config = config
         self.handle = handle
         self._gate = RateGate(config.policy.min_interval_ms)
-        self._pool = ConnectionPool(config.workers)
+        self._pool = ConnectionPool()
         self._executor = ThreadPoolExecutor(config.workers, thread_name_prefix="crawl")
         self._lock = threading.Lock()
         self._cancel = threading.Event()
@@ -192,14 +189,13 @@ class CrawlSession:
     # -- fetching and discovery ----------------------------------------------
 
     def _fetch(self, url: str, pages: _Pages | None = None) -> bytes:
-        """Fetch one page of the crawl; its attempts, a failed page's too, count
-        in the report's requests and in ``pages`` when given."""
+        """Fetch one page of the crawl; its attempts, a failed page's too, count in the
+        report's requests and in ``pages``, with its digest (and URL, if a hop)."""
         attempts = 0
         try:
             page = fetch(url, self.config.policy, self.config.source,
                          gate=self._gate, pool=self._pool)
             attempts = page.attempts_used
-            return page.body
         except FetchError as exc:
             attempts = exc.attempts_used
             raise
@@ -208,14 +204,17 @@ class CrawlSession:
                 pages.attempts += attempts
             with self._lock:
                 self._requests += attempts
+        if pages is not None:
+            if pages.digests:
+                pages.hop_urls.append(url)
+            pages.digests += page_digest(url, page.body, None if pages.digests else pages.conf)
+        return page.body
 
     def _discover(self) -> dict[str, list[ConferenceRecord]]:
         """Fetch the index, then the wanted venue pages on the worker pool."""
         start_url = self.config.source.start_url
         index = parser.parse_index(self._fetch(start_url).decode("utf-8", errors="replace"),
                                    base_url=start_url)
-        wanted = ({canonical_venue(v) for v in self.config.venues}
-                  if self.config.venues else None)
         wanted_links = []
         for category, name, url in index:
             try:
@@ -223,7 +222,7 @@ class CrawlSession:
             except EmptyInput as exc:
                 logger.warning("skipping venue link %s: %s", url, exc)
                 continue
-            if wanted is None or venue_key in wanted:
+            if not self.config.venues or venue_key in self.config.venues:
                 wanted_links.append((category, venue_key, url))
         return dict(self._executor.map(self._venue_page, wanted_links))
 
@@ -234,14 +233,6 @@ class CrawlSession:
         return venue_key, parser.parse_venue_page(body, category, venue_key, base_url=url)
 
     # -- task execution ------------------------------------------------------
-
-    def _fetch_page(self, url: str, conf: ConferenceRecord, pages: _Pages) -> bytes:
-        """Fetch one page of ``conf``, adding its attempts and digest to ``pages``."""
-        body = self._fetch(url, pages)
-        if pages.digests:
-            pages.hop_urls.append(url)
-        pages.digests += page_digest(url, body, None if pages.digests else conf)
-        return body
 
     def _fetch_and_parse(self, conf: ConferenceRecord, pages: _Pages
                          ) -> list[PaperRecord] | None:
@@ -263,7 +254,7 @@ class CrawlSession:
         fetched: dict[str, bytes] = {}
         if stored is not None:
             for url in (conf.url, *stored.hop_urls):
-                fetched[url] = self._fetch_page(url, conf, pages)
+                fetched[url] = self._fetch(url, pages)
                 if stored.page_digests[:len(pages.digests)] != pages.digests:
                     break
             else:
@@ -278,7 +269,7 @@ class CrawlSession:
             visited.add(url)
             body = fetched.pop(url, None)
             if body is None:
-                body = self._fetch_page(url, conf, pages)
+                body = self._fetch(url, pages)
             next_links, papers, report = parser.parse_proceedings(
                 body.decode("utf-8", errors="replace"), conf, base_url=url)
             for warning in report.warnings:
@@ -293,7 +284,7 @@ class CrawlSession:
         return list(merged.values())
 
     def _run_task(self, conf: ConferenceRecord) -> None:
-        started, pages, papers = time.monotonic(), _Pages(), None
+        started, pages, papers = time.monotonic(), _Pages(conf), None
         cancelled = self._cancel.is_set()
         log = CrawlLog(status=CrawlStatus.FAILED, attempts=1, last_error="cancelled")
         try:
@@ -326,7 +317,7 @@ class CrawlSession:
         self._tokens.put(None)
 
     def _finish(self, conf: ConferenceRecord, log: CrawlLog, started: float,
-                unchanged: bool = False) -> None:
+                unchanged: bool) -> None:
         elapsed_ms = int((time.monotonic() - started) * 1000)
         unchanged = unchanged and log.status is CrawlStatus.STORED
         with self._lock:
@@ -341,7 +332,6 @@ class CrawlSession:
         Raises (after stopping the workers and closing the session's
         connections):
             StoreUnavailable: the store cannot accept writes at all.
-            EmptyPlan: nothing matched the venue/year filter.
             HarvestError: discovery failed (index or venue pages).
         """
         try:
@@ -410,15 +400,6 @@ class CrawlSession:
                            int((time.monotonic() - t0) * 1000), self._unchanged,
                            self._requests)
 
-    def run(self) -> CrawlReport:
-        """Prepare and execute; an empty plan yields a report of no tasks."""
-        t0 = time.monotonic()
-        try:
-            self.prepare()
-        except EmptyPlan:
-            return self._report(t0)
-        return self.execute()
-
 
 def run_crawl(config: CrawlConfig, store_handle: store_mod.Store) -> CrawlReport:
     """Plan and execute a crawl; every planned task reaches a terminal state.
@@ -430,5 +411,7 @@ def run_crawl(config: CrawlConfig, store_handle: store_mod.Store) -> CrawlReport
         StoreUnavailable: the store cannot accept writes at all.
         HarvestError: discovery itself failed (index or venue pages).
     """
-    return CrawlSession(config, store_handle).run()
+    session = CrawlSession(config, store_handle)
+    session.prepare()
+    return session.execute()
 

@@ -576,7 +576,8 @@ def parse_proceedings(html: str, conference: ConferenceRecord, *,
                 try:
                     authors.append(normalize_author(name))
                 except EmptyInput:
-                    continue
+                    warnings.append(f"entry {position}: author {name!r} is empty once "
+                                    "normalized, skipped")
 
         abstract_node = entry.find(cls="paper-abstract")
         abstract = abstract_node.text() if abstract_node is not None else None

@@ -475,8 +475,11 @@ def test_report_json_into_missing_directory(db_env):
     (["harvest", "--years", "2023..2021"], "--years start 2023 > end 2021"),
     (["query", "--where", "year"], "--where wants col:op[:value], got 'year'"),
     (["query", "--where", "year:in:2021,,2022"], "column 'year' wants an integer, got ''"),
+    (["harvest", "--source", f"fixture:{FIXTURES}", "--venues", "!!"],
+     "no token characters in venue name '!!'"),
 ], ids=["stats-bogus", "stats-no-by", "filter-no-rules", "query-bad-int", "harvest-bad-years",
-        "harvest-one-year", "harvest-reversed-years", "query-no-op", "query-empty-int-item"])
+        "harvest-one-year", "harvest-reversed-years", "query-no-op", "query-empty-int-item",
+        "harvest-bad-venue"])
 def test_usage_error_creates_no_store(db_env, capsys, argv, message):
     assert main(argv) == 1
     assert capsys.readouterr().err == f"usage error: {message}\n"
@@ -579,6 +582,15 @@ class TestStats:
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert any(l.startswith("acl\t") for l in lines)
+
+    def test_table_format_two_dimensions(self, harvested, capsys):
+        # One venue/year line per leaf of the JSON tree, in the tree's order.
+        assert main(["stats", "--by", "venue", "--by", "year", "--format", "json"]) == 0
+        tree = json.loads(capsys.readouterr().out)
+        assert main(["stats", "--by", "venue", "--by", "year", "--format", "table"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"{venue}/{year}\t{count}" for venue, years in tree.items()
+            for year, count in years.items()]
 
 
 class TestConfigFile:
@@ -684,7 +696,10 @@ class TestConfigFile:
         ("[crawl]\nmin_interval_ms = -5\n", [], "min_interval_ms must be >= 0"),
         ("", ["--workers", "-1"], "workers must be >= 1"),
         ("", ["--workers", "0"], "workers must be >= 1"),
-    ], ids=["negative-interval", "negative-workers", "zero-workers"])
+        ("", ["--venues", "!!"], "no token characters in venue name '!!'"),
+        ('[crawl]\nvenues = ["!!"]\n', [], "no token characters in venue name '!!'"),
+    ], ids=["negative-interval", "negative-workers", "zero-workers", "bad-venue-flag",
+            "bad-venue-setting"])
     def test_bad_crawl_settings_are_usage_errors(self, db_env, tmp_path, capsys,
                                                  text, argv, message):
         cfg = tmp_path / "anthology.toml"

@@ -397,7 +397,7 @@ except Exhausted:
 class TestConnections:
     def test_sequential_fetches_share_one_connection(self, mock_server, fixtures_root):
         source = MockSource(endpoint=mock_server.base_url)
-        pool = ConnectionPool(1)
+        pool = ConnectionPool()
         started = time.monotonic()
         for _ in range(100):
             res = fetch(source.start_url, FAST, source, pool=pool)
@@ -412,7 +412,7 @@ class TestConnections:
     def test_error_answer_keeps_the_connection(self, mock_server):
         source = MockSource(endpoint=mock_server.base_url)
         mock_server.script("/venues/acl.html", [503, 200])
-        pool = ConnectionPool(1)
+        pool = ConnectionPool()
         res = fetch(source.endpoint + "/venues/acl.html", FAST, source, pool=pool)
         with pytest.raises(NotFound):
             fetch(source.endpoint + "/venues/missing.html", FAST, source, pool=pool)

@@ -224,6 +224,19 @@ class TestParseProceedings:
             "entry 2: pdf link '2022.acl-long.2.pdf' is not http(s), dropped",
         )
 
+    def test_author_empty_once_normalized_skipped_with_warning(self):
+        html = wrap(
+            '<section class="proceedings-page"><div class="paper-list">'
+            '<div class="paper-entry"><a class="paper-title" href="/2022.acl-long.1/">A</a>'
+            '<span class="paper-authors"><a>´</a><a>Ada Lovelace</a><a>\x01</a></span>'
+            '</div></div></section>')
+        _, papers, report = parse_proceedings(html, make_conference())
+        assert [a.full for a in papers[0].authors] == ["Ada Lovelace"]
+        assert report.warnings == (
+            "entry 1: author '´' is empty once normalized, skipped",
+            "entry 1: author '\\x01' is empty once normalized, skipped",
+        )
+
     def test_titleless_entry_skipped_with_warning(self, corpus, manifest):
         conf = make_conference(venue="coling", year=2019,
                                category=Category.NON_ACL_EVENT)

@@ -12,7 +12,6 @@ import pytest
 from anthology_harvest import (
     CrawlConfig,
     CrawlStatus,
-    EmptyPlan,
     FetchPolicy,
     FixtureSource,
     HarvestError,
@@ -61,8 +60,7 @@ class TestPlanTasks:
         pages = self._pages()
         config = CrawlConfig(venues=(), year_range=(1951, 1952), workers=1,
                              policy=FAST_POLICY, source=FixtureSource(root=Path(".")))
-        with pytest.raises(EmptyPlan):
-            plan_tasks(config, pages)
+        assert plan_tasks(config, pages) == []
 
     def test_duplicate_venues_deduplicate(self):
         pages = self._pages()
@@ -72,6 +70,11 @@ class TestPlanTasks:
         plan = plan_tasks(config, pages)
         assert len(plan) == 5
         assert len({c.conf_id for c in plan}) == 5
+
+    def test_venues_are_canonical_once_built(self):
+        config = CrawlConfig(venues=("ACL", "acl", "Acl "), workers=1,
+                             source=FixtureSource(root=Path(".")))
+        assert config.venues == ("acl",)
 
     def test_ordering_across_venues(self):
         pages = {
@@ -407,16 +410,30 @@ def write_paginated_site(root: Path) -> None:
 
 class TestPagination:
     def test_next_page_links_followed_within_task(self, tmp_path):
-        write_paginated_site(tmp_path)
-        handle = init_schema(StoreConfig(location=":memory:"))
-        config = CrawlConfig(venues=(), year_range=(2019, 2023), workers=2,
-                             policy=FAST_POLICY, source=FixtureSource(root=tmp_path))
-        report = run_crawl(config, handle)
-        assert report.tasks_total == 1
-        assert report.papers_stored == 3
-        assert load_all_papers(handle).ids() == (
-            "2020.xx-1.1", "2020.xx-1.2", "2020.xx-1.3")
-        handle.close()
+        # Each page is fetched once, also when the first page links to the
+        # hop twice and the hop links back to it.
+        for site, repeated in ((tmp_path / "once", False), (tmp_path / "repeated", True)):
+            site.mkdir()
+            write_paginated_site(site)
+            if repeated:
+                first, hop = (site / "proceedings" / name
+                              for name in ("xx-2020.html", "xx-2020-p2.html"))
+                first.write_text(first.read_text().replace(
+                    "2</a></nav>", '2</a><a href="/proceedings/xx-2020-p2.html">next</a></nav>'))
+                hop.write_text(hop.read_text().replace(
+                    "</section></body>", '</section><nav class="pagination">'
+                                         '<a href="/proceedings/xx-2020.html">1</a></nav></body>'))
+            handle = init_schema(StoreConfig(location=":memory:"))
+            config = CrawlConfig(venues=(), year_range=(2019, 2023), workers=2,
+                                 policy=FAST_POLICY, source=FixtureSource(root=site))
+            report = run_crawl(config, handle)
+            assert report.tasks_total == 1
+            assert report.papers_stored == 3
+            assert load_all_papers(handle).ids() == (
+                "2020.xx-1.1", "2020.xx-1.2", "2020.xx-1.3")
+            handle.close()
+            assert report.per_conference["xx-2020"].attempts == 2
+            assert report.requests == 4  # the index, the venue page, the two pages
 
     def test_hop_parse_warnings_are_logged(self, tmp_path, caplog):
         write_paginated_site(tmp_path)
@@ -532,6 +549,21 @@ class TestGroupCommit:
         assert report.per_conference["acl-2021"].last_error == "RuntimeError: injected"
         stored = stored_outcome(handle)
         assert set(stored) == set(report.per_conference) - {"acl-2021"}
+        assert not handle._conn.in_transaction
+        handle.close()
+
+    def test_lost_store_cancels_the_tasks_left(self, fixtures_root):
+        handle = init_schema(StoreConfig(location=":memory:"))
+        handle._conn = _FailingStatement(
+            handle._conn, lambda _, params: params[:1] == ("2021.acl-long.500",),
+            sqlite3.OperationalError("disk I/O error"))
+        report = run_crawl(fixture_config(fixtures_root, workers=1), handle)
+        logs = report.per_conference
+        assert logs["acl-2021"].last_error == "StoreUnavailable: write failed: disk I/O error"
+        cancelled = {cid for cid, log in logs.items() if log.last_error == "cancelled"}
+        assert cancelled == set(logs) - {"acl-2019", "acl-2020", "acl-2021"}
+        assert report.tasks_total == 25 and report.tasks_failed == 23
+        assert set(stored_outcome(handle)) == {"acl-2019", "acl-2020"}
         assert not handle._conn.in_transaction
         handle.close()
 
