@@ -1,5 +1,7 @@
+import json
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +20,7 @@ from anthology_harvest import (
 )
 from anthology_harvest.errors import BadArity
 from anthology_harvest.query import (OPS, Builder, Condition, ConditionGroup, QueryAst,
-                                     bind_params)
+                                     _render, bind_params)
 from conftest import make_paper, random_papers
 
 
@@ -204,6 +206,38 @@ class TestRenderSql:
     def test_reserved_identifier_quoting(self):
         ast = table("conference").where("desc", "is_not_null").build()
         assert render_sql(ast) == 'SELECT * FROM conference WHERE "desc" IS NOT NULL'
+
+
+RENDER_GOLDEN = Path(__file__).resolve().parent / "golden" / "render_sql.jsonl"
+
+
+def rendered_chains(count: int = 200) -> list[str]:
+    """One JSON line per seeded ``_astgen`` chain: its ``render_sql`` text,
+    its ``bind_params`` and the SQL that ``execute`` runs for it."""
+    rng = random.Random(1729)
+    ids = [f"2021.acl-long.{n}" for n in range(1, 40)]
+    lines = []
+    for _ in range(count):
+        ast = _astgen.random_chain(rng, ids).build()
+        params: list = []
+        executed = _render(ast, params, executed=True)
+        assert params == bind_params(ast)
+        lines.append(json.dumps([render_sql(ast), params, executed], ensure_ascii=False))
+    return lines
+
+
+def test_rendered_sql_matches_golden():
+    """The builder renders the same SQL and parameters for the same chains.
+    Rewrite the file only for a deliberate change of SQL text:
+    ``PYTHONPATH=src:tests python -c "import test_query as t; t.write_render_golden()"``."""
+    golden = RENDER_GOLDEN.read_text(encoding="utf-8").splitlines()
+    assert len(golden) == 200
+    for i, (got, want) in enumerate(zip(rendered_chains(), golden)):
+        assert got == want, f"chain {i}"
+
+
+def write_render_golden() -> None:
+    RENDER_GOLDEN.write_text("\n".join(rendered_chains()) + "\n", encoding="utf-8")
 
 
 class TestExecute:
