@@ -7,7 +7,8 @@ QueryAst; ``render_sql()`` turns an AST into deterministic standard SQL with
 positional placeholders; and ``execute()`` runs it, returning rows for plain
 selects, tuples for grouped selects, or a scalar for bare aggregates.
 ``exists()`` answers for the where-conditions alone: order, limit, offset,
-projection and grouping are ignored.
+projection and grouping are ignored, and the probe stops at the first
+matching row.
 
 Builder operations: table, where, or_where, and_group, or_group, field,
 group, having, order, limit, offset, distinct, count, min, max, avg, sum,
@@ -27,8 +28,9 @@ tiebreaker.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Mapping, Sequence, Union
+import re
+from dataclasses import dataclass
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .errors import BadArity, InvalidChain, MissingColumn, UnknownColumn
 from .paperlist import PaperList
@@ -48,10 +50,36 @@ _RESERVED_IDENTIFIERS = {"desc"}
 
 COUNT_PSEUDO_COLUMN = "count"
 _PAPER_COLUMN_SET = frozenset(PAPER_COLUMNS)
+_INT64_MAX = 2**63 - 1
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def _ident(name: str) -> str:
     return f'"{name}"' if name in _RESERVED_IDENTIFIERS else name
+
+
+def _check_bindable(value: Any) -> None:
+    """Raise BadArity unless sqlite3 can bind ``value``: None, an int that
+    fits in 64 bits, a float, bytes, or a str without lone surrogates."""
+    if isinstance(value, int):
+        ok = -_INT64_MAX - 1 <= value <= _INT64_MAX
+    elif isinstance(value, str):
+        ok = value.isascii() or not _SURROGATE.search(value)
+    else:
+        ok = value is None or isinstance(value, (float, bytes))
+    if not ok:
+        raise BadArity(f"cannot bind {value!r}; a value is None, "
+                       "a 64-bit int, a float, a str or bytes")
+
+
+def _check_count(name: str, n: Any) -> None:
+    """A LIMIT or OFFSET is an int (not a bool) from 0 to SQLite's largest."""
+    if type(n) is not int:
+        raise InvalidChain(f"{name} takes an int, got {n!r}")
+    if n < 0:
+        raise InvalidChain(f"{name} must be non-negative")
+    if n > _INT64_MAX:
+        raise InvalidChain(f"{name} must be at most {_INT64_MAX}")
 
 
 @dataclass(frozen=True)
@@ -66,18 +94,28 @@ class Condition:
         if self.op in ("in", "not_in"):
             if not isinstance(self.value, (list, tuple)) or len(self.value) == 0:
                 raise BadArity(f"{self.op} needs a non-empty list")
+            for item in self.value:
+                _check_bindable(item)
         elif self.op == "between":
             ok = isinstance(self.value, (list, tuple)) and len(self.value) == 2
             if not ok:
                 raise BadArity("between needs a (low, high) pair")
             low, high = self.value
-            if low > high:
+            _check_bindable(low)
+            _check_bindable(high)
+            try:
+                ordered = not low > high
+            except TypeError:
+                ordered = False
+            if not ordered:
                 raise BadArity(f"between pair must be ordered, got ({low!r}, {high!r})")
         elif self.op in ("is_null", "is_not_null"):
             if self.value is not None:
                 raise BadArity(f"{self.op} takes no value")
         elif self.value is None or isinstance(self.value, (list, tuple)):
             raise BadArity(f"{self.op} needs a single scalar value")
+        else:
+            _check_bindable(self.value)
 
 
 @dataclass(frozen=True)
@@ -99,9 +137,9 @@ WhereItem = Union[Condition, ConditionGroup]
 WhereTerm = tuple[str, WhereItem]
 
 
-@dataclass(frozen=True)
-class QueryAst:
-    """Normalized representation of one chainable query."""
+class QueryAst(NamedTuple):
+    """Normalized representation of one chainable query; a tuple, so a
+    changed copy is ``ast._replace(limit=5)``."""
 
     source: str
     conditions: tuple[WhereTerm, ...] = ()
@@ -119,6 +157,13 @@ def _coerce_conditions(args: tuple, kwargs: Mapping[str, Any]) -> list[Condition
     """Accept ('col', 'op', value), ('col', value), or a mapping form."""
     if kwargs:
         raise BadArity("conditions are positional; use where('col', 'op', value)")
+    if len(args) == 3:
+        return [Condition(*args)]
+    if len(args) == 2:
+        column, value = args
+        if value in ("is_null", "is_not_null"):
+            return [Condition(column, value)]
+        return [Condition(column, "eq", value)]
     if len(args) == 1 and isinstance(args[0], Condition):
         return [args[0]]
     if (len(args) == 1 and isinstance(args[0], (list, tuple))
@@ -134,17 +179,17 @@ def _coerce_conditions(args: tuple, kwargs: Mapping[str, Any]) -> list[Condition
         if not out:
             raise BadArity("empty condition mapping")
         return out
-    if len(args) == 3:
-        return [Condition(args[0], args[1], args[2])]
-    if len(args) == 2:
-        column, value = args
-        if value in ("is_null", "is_not_null"):
-            return [Condition(column, value)]
-        return [Condition(column, "eq", value)]
     raise BadArity(f"cannot build a condition from {args!r}")
 
 
-@dataclass(frozen=True)
+def _check_columns(source: str, columns: Iterable) -> None:
+    known = TABLE_COLUMNS[source]
+    for column in columns:
+        if column not in known:
+            raise UnknownColumn(f"column {column!r} not in table {source!r}")
+
+
+@dataclass(frozen=True, slots=True)
 class Builder:
     """Immutable chainable builder; start with .table(), which sets ``ast``."""
 
@@ -154,9 +199,7 @@ class Builder:
     # -- chain entry ---------------------------------------------------------
 
     def table(self, source: str) -> "Builder":
-        if source not in TABLE_COLUMNS:
-            raise UnknownColumn(f"unknown table {source!r}; pick from {sorted(TABLE_COLUMNS)}")
-        return replace(self, ast=QueryAst(source))
+        return table(source, self.handle)
 
     def _require_ast(self) -> QueryAst:
         if self.ast is None:
@@ -164,23 +207,18 @@ class Builder:
         return self.ast
 
     def _with(self, **changes) -> "Builder":
-        return replace(self, ast=replace(self._require_ast(), **changes))
-
-    def _check_column(self, column: str) -> None:
-        source = self._require_ast().source
-        if column not in TABLE_COLUMNS[source]:
-            raise UnknownColumn(f"column {column!r} not in table {source!r}")
+        return Builder(self.handle, self._require_ast()._replace(**changes))
 
     # -- conditions ----------------------------------------------------------
 
     def _append(self, connector: str, conds: list[Condition],
                 joiner: str | None = None) -> "Builder":
         """Attach ``conds`` with ``connector``, as one group when ``joiner`` is given."""
-        for cond in conds:
-            self._check_column(cond.column)
+        ast = self._require_ast()
+        _check_columns(ast.source, [cond.column for cond in conds])
         items = conds if joiner is None else [ConditionGroup(joiner, tuple(conds))]
-        terms = tuple((connector, item) for item in items)
-        return self._with(conditions=self._require_ast().conditions + terms)
+        terms = tuple([(connector, item) for item in items])
+        return Builder(self.handle, ast._replace(conditions=ast.conditions + terms))
 
     def where(self, *args, **kwargs) -> "Builder":
         """Conjoin one or more conditions (repeated calls AND together)."""
@@ -191,6 +229,8 @@ class Builder:
         return self._append("or", _coerce_conditions(args, kwargs))
 
     def _group_terms(self, connector: str, joiner: str, specs: Iterable) -> "Builder":
+        if not isinstance(specs, Iterable):
+            raise BadArity(f"a condition group needs a list of conditions, got {specs!r}")
         conds = [cond for spec in specs for cond in _coerce_conditions((spec,), {})]
         return self._append(connector, conds, joiner)
 
@@ -205,46 +245,44 @@ class Builder:
     # -- shaping  --------------------------------------------------------
 
     def field(self, *columns: str) -> "Builder":
-        self._require_ast()
+        ast = self._require_ast()
         if not columns:
             raise InvalidChain("field() needs at least one column")
-        for c in columns:
-            self._check_column(c)
-        return self._with(projection=tuple(columns))
+        _check_columns(ast.source, columns)
+        return Builder(self.handle, ast._replace(projection=columns))
 
     def group(self, *columns: str) -> "Builder":
-        self._require_ast()
+        ast = self._require_ast()
         if not columns:
             raise InvalidChain("group() needs at least one column")
+        _check_columns(ast.source, columns)
         if len(set(columns)) < len(columns):
             raise InvalidChain("group() columns must be distinct")
-        for c in columns:
-            self._check_column(c)
-        return self._with(group_by=tuple(columns))
+        return Builder(self.handle, ast._replace(group_by=columns))
 
     def having(self, *args, **kwargs) -> "Builder":
         conds = _coerce_conditions(args, kwargs)
         if len(conds) != 1:
             raise InvalidChain("having() takes exactly one condition")
         cond = conds[0]
+        ast = self._require_ast()
         if cond.column != COUNT_PSEUDO_COLUMN:
-            self._check_column(cond.column)
-        return self._with(having=cond)
+            _check_columns(ast.source, (cond.column,))
+        return Builder(self.handle, ast._replace(having=cond))
 
     def order(self, column: str, direction: str = "asc") -> "Builder":
-        self._check_column(column)
+        ast = self._require_ast()
+        _check_columns(ast.source, (column,))
         if direction not in ("asc", "desc"):
             raise InvalidChain(f"direction must be asc/desc, got {direction!r}")
-        return self._with(order_by=self._require_ast().order_by + ((column, direction),))
+        return Builder(self.handle, ast._replace(order_by=ast.order_by + ((column, direction),)))
 
     def limit(self, n: int) -> "Builder":
-        if n < 0:
-            raise InvalidChain("limit must be non-negative")
+        _check_count("limit", n)
         return self._with(limit=n)
 
     def offset(self, n: int) -> "Builder":
-        if n < 0:
-            raise InvalidChain("offset must be non-negative")
+        _check_count("offset", n)
         return self._with(offset=n)
 
     def distinct(self) -> "Builder":
@@ -253,9 +291,10 @@ class Builder:
     # -- aggregates ------------------------------------------------------
 
     def _agg(self, fn: str, column: str | None) -> "Builder":
-        if column is not None:
-            self._check_column(column)
-        return self._with(aggregate=(fn, column))
+        ast = self._require_ast()
+        if column is not None or fn != "count":  # only count() may count rows
+            _check_columns(ast.source, (column,))
+        return Builder(self.handle, ast._replace(aggregate=(fn, column)))
 
     def count(self, column: str | None = None) -> "Builder":
         return self._agg("count", column)
@@ -312,11 +351,14 @@ class Builder:
                 raise InvalidChain("having() may reference 'count' or a grouped column")
         return ast
 
-    def query(self):
-        """Build and execute against the bound store."""
+    def _store(self) -> Store:
         if self.handle is None:
             raise InvalidChain("builder has no store bound; pass Builder(handle)")
-        return execute(self.handle, self.build())
+        return self.handle
+
+    def query(self):
+        """Build and execute against the bound store."""
+        return execute(self._store(), self.build())
 
     def find_one(self):
         """First row of the (deterministically ordered) result, or None."""
@@ -326,15 +368,19 @@ class Builder:
         return rows[0] if rows else None
 
     def exists(self) -> bool:
-        """Whether any row matches the chain's where-conditions."""
+        """Whether any row matches the chain's where-conditions; the probe
+        reads one row's primary key, unordered, and stops there."""
         ast = self._require_ast()
-        probe = QueryAst(ast.source, ast.conditions, limit=1, aggregate=("count", None))
-        return bool(replace(self, ast=probe).query())
+        probe = QueryAst(ast.source, ast.conditions, limit=1,
+                         projection=(PRIMARY_KEYS[ast.source],))
+        return bool(execute(self._store(), probe, ordered=False))
 
 
 def table(source: str, handle: Store | None = None) -> Builder:
     """Start a chain: ``table("paper").where(...)``."""
-    return Builder(handle=handle).table(source)
+    if not isinstance(source, str) or source not in TABLE_COLUMNS:
+        raise UnknownColumn(f"unknown table {source!r}; pick from {sorted(TABLE_COLUMNS)}")
+    return Builder(handle, QueryAst(source))
 
 
 # -- rendering ---------------------------------------------------------------
@@ -364,17 +410,14 @@ def _render_condition(cond: Condition, params: list, col: str | None = None) -> 
 
 def _render_where(terms: Sequence[WhereTerm], params: list) -> str:
     parts: list[str] = []
-    for i, (connector, item) in enumerate(terms):
+    for connector, item in terms:
         if isinstance(item, ConditionGroup):
             inner = f" {item.joiner.upper()} ".join(
-                _render_condition(c, params) for c in item.conditions)
+                [_render_condition(c, params) for c in item.conditions])
             rendered = f"({inner})"
         else:
             rendered = _render_condition(item, params)
-        if i == 0:
-            parts.append(rendered)
-        else:
-            parts.append(f"{connector.upper()} {rendered}")
+        parts.append(f"{connector.upper()} {rendered}" if parts else rendered)
     return " ".join(parts)
 
 
@@ -415,7 +458,7 @@ def _render(ast: QueryAst, params: list, *, executed: bool = False) -> str:
     if executed:
         order_pairs += _implicit_order(ast, order_pairs)
     if order_pairs:
-        rendered = ", ".join(f"{_ident(c)} {d.upper()}" for c, d in order_pairs)
+        rendered = ", ".join([f"{_ident(c)} {d.upper()}" for c, d in order_pairs])
         sql += f" ORDER BY {rendered}"
     if ast.limit is not None:
         sql += f" LIMIT {ast.limit}"
@@ -427,15 +470,15 @@ def _render(ast: QueryAst, params: list, *, executed: bool = False) -> str:
 def _implicit_order(ast: QueryAst,
                     explicit: Sequence[tuple[str, str]]) -> list[tuple[str, str]]:
     """The deterministic tiebreaker appended at execution time."""
-    if ast.aggregate is not None and ast.group_by is None:
-        return []
-    named = {c for c, _ in explicit}
     if ast.group_by is not None:
         tail = ast.group_by
+    elif ast.aggregate is not None:
+        return []
     elif ast.distinct:
         tail = ast.projection or TABLE_COLUMNS[ast.source]
     else:
         tail = (PRIMARY_KEYS[ast.source],)
+    named = {c for c, _ in explicit}
     return [(c, "asc") for c in tail if c not in named]
 
 
@@ -451,15 +494,16 @@ def bind_params(ast: QueryAst) -> list:
     return params
 
 
-def execute(h: Store, ast: QueryAst):
+def execute(h: Store, ast: QueryAst, *, ordered: bool = True):
     """Run the query and return its result.
 
     Bare aggregates return a scalar; grouped queries return a list of
     tuples (group values, then the aggregate when present); row queries
-    return a list of column->value dicts.
+    return a list of column->value dicts.  ``ordered=False`` leaves out the
+    implicit tiebreaker, for a probe that does not care which rows it gets.
     """
     params: list = []
-    sql = _render(ast, params, executed=True)
+    sql = _render(ast, params, executed=ordered)
     if ast.aggregate is not None and ast.group_by is None:
         return h.execute_scalar(sql, params)
     if ast.group_by is not None:

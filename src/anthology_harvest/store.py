@@ -168,6 +168,17 @@ def _strip(value):
     return None if value is None else value.strip()
 
 
+@functools.lru_cache(maxsize=64)
+def _result_columns(description: tuple) -> tuple[tuple[str, ...], tuple[int, ...] | None]:
+    """A result's column names and, when two are equal up to ASCII case, the
+    position each name reads: the first column equal to it, as in ``sqlite3.Row``."""
+    names = tuple(column[0] for column in description)
+    if len({name.lower() for name in names}) == len(names):
+        return names, None
+    folded = [name.lower() if name.isascii() else name for name in names]
+    return names, tuple(folded.index(name) for name in folded)
+
+
 class Store:
     """Handle over one open database; create via init_schema()."""
 
@@ -222,10 +233,9 @@ class Store:
                 rows = cur.fetchall()
             except sqlite3.Error as exc:
                 raise StoreUnavailable(f"query failed: {exc}") from exc
-        names = [column[0] for column in cur.description or ()]  # None: no result columns
-        if len({name.lower() for name in names}) < len(names):
-            folded = [name.lower() if name.isascii() else name for name in names]
-            rows = [[row[folded.index(name)] for name in folded] for row in rows]
+        names, reads = _result_columns(cur.description or ())  # None: no result columns
+        if reads is not None:
+            rows = [[row[i] for i in reads] for row in rows]
         return [dict(zip(names, row)) for row in rows]
 
     def execute_scalar(self, sql: str, params: Sequence = ()):

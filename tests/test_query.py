@@ -4,6 +4,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import _astgen
 import _oracle
@@ -18,9 +20,10 @@ from anthology_harvest import (
     table,
     upsert_papers,
 )
-from anthology_harvest.errors import BadArity
+from anthology_harvest.errors import BadArity, HarvestError, StoreUnavailable
 from anthology_harvest.query import (OPS, Builder, Condition, ConditionGroup, QueryAst,
                                      _render, bind_params)
+from anthology_harvest.store import PAPER_COLUMNS, Store
 from conftest import make_paper, random_papers
 
 
@@ -149,13 +152,40 @@ _YEAR = Condition("year", "eq", 2021)
      "builder has no store bound; pass Builder(handle)"),
     (lambda h: table("paper", h).count().find_one(), InvalidChain,
      "find_one() applies to row queries, not aggregates"),
+    (lambda h: table("paper").limit("3"), InvalidChain, "limit takes an int, got '3'"),
+    (lambda h: table("paper").limit(2.5), InvalidChain, "limit takes an int, got 2.5"),
+    (lambda h: table("paper").limit(True), InvalidChain, "limit takes an int, got True"),
+    (lambda h: table("paper").limit(5).offset(1.5), InvalidChain,
+     "offset takes an int, got 1.5"),
+    (lambda h: table("paper").limit(2**63), InvalidChain,
+     "limit must be at most 9223372036854775807"),
+    (lambda h: Condition("year", "in", [2021, [1]]), BadArity,
+     "cannot bind [1]; a value is None, a 64-bit int, a float, a str or bytes"),
+    (lambda h: Condition("year", "eq", {"a": 1}), BadArity,
+     "cannot bind {'a': 1}; a value is None, a 64-bit int, a float, a str or bytes"),
+    (lambda h: Condition("year", "eq", 2**63), BadArity,
+     "cannot bind 9223372036854775808; a value is None, a 64-bit int, a float, a str or bytes"),
+    (lambda h: Condition("title", "like", "\ud800"), BadArity,
+     "cannot bind '\\ud800'; a value is None, a 64-bit int, a float, a str or bytes"),
+    (lambda h: Condition("year", "between", [2020, "x"]), BadArity,
+     "between pair must be ordered, got (2020, 'x')"),
+    (lambda h: table("paper").and_group(5), BadArity,
+     "a condition group needs a list of conditions, got 5"),
+    (lambda h: table(["paper"]), UnknownColumn,
+     "unknown table ['paper']; pick from ['conference', 'paper']"),
+    (lambda h: table("paper").group(["year"]), UnknownColumn,
+     "column ['year'] not in table 'paper'"),
+    (lambda h: table("paper").min(None), UnknownColumn, "column None not in table 'paper'"),
 ], ids=["unknown-op", "in-empty", "not-in-scalar", "between-one", "between-unordered",
         "null-test-value", "eq-no-value", "gt-list", "group-joiner", "group-empty",
         "keyword-condition", "empty-mapping", "four-arguments", "having-no-group",
         "offset-no-limit", "field-aggregate", "distinct-aggregate", "group-field",
         "group-distinct", "order-not-grouped", "order-not-projected", "having-column",
         "unknown-table", "field-none", "group-none", "having-two", "negative-offset",
-        "no-store", "find-one-aggregate"])
+        "no-store", "find-one-aggregate", "limit-str", "limit-float", "limit-bool",
+        "offset-float", "limit-too-large", "in-nested-list", "eq-dict", "eq-too-large",
+        "like-surrogate", "between-mixed-types", "group-of-scalar", "table-list",
+        "group-unhashable", "min-no-column"])
 def test_rejection_names_its_type_and_reason(mem_store, make, error, message):
     with pytest.raises(error) as info:
         make(mem_store)
@@ -282,6 +312,27 @@ class TestExecute:
         assert table("paper", handle).where("year", "eq", 2023).exists()
         assert not table("paper", handle).where("year", "eq", 1999).exists()
 
+    def test_exists_probes_one_unordered_row(self, small_store, monkeypatch):
+        """exists() stops at the first match: no COUNT, no ORDER BY, and the
+        chain's order, limit and projection are left out of the probe."""
+        handle, _ = small_store
+        seen = []
+        run = Store.execute_sql
+
+        def spy(self, sql, params=()):
+            seen.append((sql, list(params)))
+            return run(self, sql, params)
+
+        monkeypatch.setattr(Store, "execute_sql", spy)
+        chain = table("paper", handle).where("title", "like", "%story%").field("title")
+        assert chain.order("year", "desc").limit(0).exists()
+        assert not chain.where("year", "eq", 1999).exists()
+        assert seen == [
+            ("SELECT anthology_id FROM paper WHERE title LIKE ? LIMIT 1", ["%story%"]),
+            ("SELECT anthology_id FROM paper WHERE title LIKE ? AND year = ? LIMIT 1",
+             ["%story%", 1999]),
+        ]
+
     def test_grouped_rows(self, small_store):
         handle, papers = small_store
         builder = table("paper", handle).group("venue_key").count()
@@ -327,3 +378,60 @@ class TestOracleEquivalence:
             if isinstance(want, list):
                 first = want[0] if want else None
                 assert bound.find_one() == first, f"chain {i}: {render_sql(ast)}"
+
+
+# Values of every type a caller might pass, SQLite-bindable or not.
+_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.binary(max_size=3)
+    | st.text(max_size=3) | st.sampled_from(["acl", "%a%", "\ud800", "is_null", "asc"]),
+    lambda inner: (st.lists(inner, max_size=3) | st.tuples(inner, inner)
+                   | st.dictionaries(st.sampled_from(PAPER_COLUMNS), inner, max_size=2)),
+    max_leaves=4)
+_COLUMNS = st.sampled_from([*PAPER_COLUMNS, "count", "colour"]) | _VALUES
+_OPERATORS = st.sampled_from([*OPS, "badop"]) | _VALUES
+_CONDITION = st.tuples(_COLUMNS, _OPERATORS, _VALUES) | st.tuples(_COLUMNS, _VALUES)
+_CALLS = st.one_of(
+    st.tuples(st.sampled_from(["where", "or_where", "having"]), _CONDITION),
+    st.tuples(st.sampled_from(["where", "or_where"]),
+              st.tuples(st.dictionaries(st.sampled_from(PAPER_COLUMNS),
+                                        st.tuples(_OPERATORS, _VALUES) | _VALUES,
+                                        max_size=2))),
+    st.tuples(st.sampled_from(["and_group", "or_group"]),
+              st.tuples(st.lists(_CONDITION | _VALUES, max_size=3) | _VALUES,
+                        st.sampled_from(["and", "or"]) | _VALUES)),
+    st.tuples(st.sampled_from(["field", "group"]), st.lists(_COLUMNS, max_size=3).map(tuple)),
+    st.tuples(st.just("order"), st.tuples(_COLUMNS, st.sampled_from(["asc", "desc"]) | _VALUES)),
+    st.tuples(st.sampled_from(["limit", "offset"]), st.tuples(st.integers(0, 3) | _VALUES)),
+    st.tuples(st.sampled_from(["count", "min", "max", "avg", "sum", "distinct_count"]),
+              st.tuples(_COLUMNS)),
+    st.tuples(st.just("distinct"), st.just(())),
+    st.tuples(st.just("table"), st.tuples(st.sampled_from(["paper", "conference"]) | _VALUES)),
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(calls=st.lists(_CALLS, min_size=1, max_size=4))
+@example(calls=[("where", ("year", "in", [2021, [1]]))])
+@example(calls=[("where", ("year", "eq", {"a": 1}))])
+@example(calls=[("where", ("year", "between", [2020, "x"]))])
+@example(calls=[("limit", ("3",))])
+@example(calls=[("limit", (2.5,))])
+@example(calls=[("limit", (1,)), ("offset", (1.5,))])
+def test_any_call_returns_or_raises_a_harvest_error(small_store, calls):
+    """A builder call either returns or raises a HarvestError, and a chain
+    of accepted calls runs: the store never rejects what the builder took."""
+    handle, _ = small_store
+    builder = table("paper", handle)
+    for name, args in calls:
+        try:
+            builder = getattr(builder, name)(*args)
+        except HarvestError:
+            pass  # go on from the last accepted chain
+    for terminal in (Builder.query, Builder.exists, Builder.find_one):
+        try:
+            terminal(builder)
+        except StoreUnavailable:
+            raise
+        except HarvestError:
+            pass
