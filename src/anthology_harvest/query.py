@@ -72,7 +72,7 @@ def _check_bindable(value: Any) -> None:
                        "a 64-bit int, a float, a str or bytes")
 
 
-def _check_count(name: str, n: Any) -> None:
+def _check_limit(name: str, n: Any) -> None:
     """A LIMIT or OFFSET is an int (not a bool) from 0 to SQLite's largest."""
     if type(n) is not int:
         raise InvalidChain(f"{name} takes an int, got {n!r}")
@@ -278,11 +278,11 @@ class Builder:
         return Builder(self.handle, ast._replace(order_by=ast.order_by + ((column, direction),)))
 
     def limit(self, n: int) -> "Builder":
-        _check_count("limit", n)
+        _check_limit("limit", n)
         return self._with(limit=n)
 
     def offset(self, n: int) -> "Builder":
-        _check_count("offset", n)
+        _check_limit("offset", n)
         return self._with(offset=n)
 
     def distinct(self) -> "Builder":

@@ -324,7 +324,8 @@ class CrawlSession:
             self._per_conference[conf.conf_id] = log
             self._unchanged += unchanged
         status = "unchanged" if unchanged else log.status.value
-        print(f"{conf.conf_id} {status} {log.paper_count or 0} {elapsed_ms}", file=sys.stderr)
+        # One write: print()'s separate newline let a worker's log line in between.
+        sys.stderr.write(f"{conf.conf_id} {status} {log.paper_count or 0} {elapsed_ms}\n")
 
     def prepare(self) -> int:
         """Discover and plan the tasks; returns the task count.

@@ -120,6 +120,24 @@ class TestFixtureCrawl:
                   if r.name == "anthology_harvest.scheduler"]
         assert sorted(logged) == sorted(expected)
 
+    def test_progress_lines_are_written_whole(self, fixtures_root, monkeypatch):
+        """Each progress line reaches stderr in one write, so a line that a
+        worker thread logs meanwhile cannot land inside it."""
+        writes = []
+
+        class Recorder:
+            def write(self, text):
+                writes.append(text)
+                return len(text)
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stderr", Recorder())
+        _, report = crawl_fixture(fixtures_root, workers=2)
+        assert len(writes) == report.tasks_total == 25
+        assert all(text.count("\n") == 1 and text.endswith("\n") for text in writes), writes
+
     def test_worker_count_invariance(self, fixtures_root):
         results = {}
         for workers in (1, 8):
