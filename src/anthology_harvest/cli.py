@@ -246,6 +246,8 @@ def cmd_stats(args: argparse.Namespace, store: StoreConfig, crawl: dict) -> int:
     for flag in args.by:
         if flag not in _STAT_DIM_FLAGS:
             raise UsageError(f"unknown dimension {flag!r}; pick from {sorted(_STAT_DIM_FLAGS)}")
+        if args.by.count(flag) > 1:
+            raise UsageError(f"dimension {flag!r} given more than once")
     with store_mod.init_schema(store) as handle:
         counts = store_mod.stats_stored(handle, [_STAT_DIM_FLAGS[flag] for flag in args.by])
     if args.format == "json":

@@ -38,6 +38,7 @@ from urllib.parse import quote, unquote, urljoin, urlparse, urlsplit
 from urllib.request import getproxies, proxy_bypass
 
 from .errors import Exhausted, NotFound, Unresolvable
+from .model import is_absolute_url
 
 USER_AGENT = "anthology-harvest/0.1 (+https://example.invalid/anthology-harvest)"
 FIXTURE_BASE = "https://anthology.test"
@@ -133,15 +134,23 @@ Source = LiveSource | FixtureSource | MockSource
 
 
 def parse_source_spec(spec: str) -> Source:
-    """Parse a ``live | fixture:<dir> | mock:<url>`` source flag."""
+    """Parse a ``live | live:<url> | fixture:<dir> | mock:<url>`` source flag.
+
+    Raises:
+        ValueError: an unknown kind, a ``fixture:`` root that is not a
+            directory, or a ``live:``/``mock:`` URL that is not absolute http(s).
+    """
     if spec == "live":
         return LiveSource()
-    if spec.startswith("live:"):
-        return LiveSource(index_url=spec.split(":", 1)[1])
-    if spec.startswith("fixture:"):
-        return FixtureSource(root=Path(spec.split(":", 1)[1]))
-    if spec.startswith("mock:"):
-        return MockSource(endpoint=spec.split(":", 1)[1])
+    kind, sep, rest = spec.partition(":")
+    if sep and kind == "fixture":
+        if not rest or not Path(rest).is_dir():
+            raise ValueError(f"fixture source {rest!r} is not a directory")
+        return FixtureSource(root=Path(rest))
+    if sep and kind in ("live", "mock"):
+        if not is_absolute_url(rest):
+            raise ValueError(f"{kind} source {rest!r} is not an absolute http(s) URL")
+        return LiveSource(index_url=rest) if kind == "live" else MockSource(endpoint=rest)
     raise ValueError(f"unknown source spec {spec!r}")
 
 

@@ -34,7 +34,7 @@ from typing import Any, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .errors import BadArity, InvalidChain, MissingColumn, UnknownColumn
 from .paperlist import PaperList
-from .store import PAPER_COLUMNS, PRIMARY_KEYS, TABLE_COLUMNS, Store, paper_from_row
+from .store import PAPER_COLUMNS, PRIMARY_KEYS, TABLE_COLUMNS, Store, paper_from_row, quote_name
 
 OPS = ("eq", "neq", "gt", "gte", "lt", "lte", "in", "not_in", "like",
        "between", "is_null", "is_not_null")
@@ -45,17 +45,10 @@ _OP_SQL = {
 
 AGGREGATES = ("count", "min", "max", "avg", "sum", "distinct_count")
 
-# Identifiers that collide with SQL keywords get quoted when rendered.
-_RESERVED_IDENTIFIERS = {"desc"}
-
 COUNT_PSEUDO_COLUMN = "count"
 _PAPER_COLUMN_SET = frozenset(PAPER_COLUMNS)
 _INT64_MAX = 2**63 - 1
 _SURROGATE = re.compile("[\ud800-\udfff]")
-
-
-def _ident(name: str) -> str:
-    return f'"{name}"' if name in _RESERVED_IDENTIFIERS else name
 
 
 def _check_bindable(value: Any) -> None:
@@ -388,7 +381,7 @@ def table(source: str, handle: Store | None = None) -> Builder:
 
 def _render_condition(cond: Condition, params: list, col: str | None = None) -> str:
     # ``col`` is the left-hand SQL: HAVING passes COUNT(*) or a grouped column.
-    col = col or _ident(cond.column)
+    col = col or quote_name(cond.column)
     if cond.op in _OP_SQL:
         params.append(cond.value)
         return f"{col} {_OP_SQL[cond.op]} ?"
@@ -424,21 +417,21 @@ def _render_where(terms: Sequence[WhereTerm], params: list) -> str:
 def _render_aggregate(aggregate: tuple[str, str | None]) -> str:
     fn, column = aggregate
     if fn == "count":
-        return f"COUNT({_ident(column)})" if column else "COUNT(*)"
+        return f"COUNT({quote_name(column)})" if column else "COUNT(*)"
     if fn == "distinct_count":
-        return f"COUNT(DISTINCT {_ident(column)})"
-    return f"{fn.upper()}({_ident(column)})"
+        return f"COUNT(DISTINCT {quote_name(column)})"
+    return f"{fn.upper()}({quote_name(column)})"
 
 
 def _render(ast: QueryAst, params: list, *, executed: bool = False) -> str:
     if ast.group_by is not None:
-        select_list = ", ".join(_ident(c) for c in ast.group_by)
+        select_list = ", ".join(quote_name(c) for c in ast.group_by)
         if ast.aggregate is not None:
             select_list += f", {_render_aggregate(ast.aggregate)}"
     elif ast.aggregate is not None:
         select_list = _render_aggregate(ast.aggregate)
     elif ast.projection is not None:
-        select_list = ", ".join(_ident(c) for c in ast.projection)
+        select_list = ", ".join(quote_name(c) for c in ast.projection)
     else:
         select_list = "*"
     if ast.distinct:
@@ -448,17 +441,17 @@ def _render(ast: QueryAst, params: list, *, executed: bool = False) -> str:
     if ast.conditions:
         sql += f" WHERE {_render_where(ast.conditions, params)}"
     if ast.group_by is not None:
-        sql += f" GROUP BY {', '.join(_ident(c) for c in ast.group_by)}"
+        sql += f" GROUP BY {', '.join(quote_name(c) for c in ast.group_by)}"
     if ast.having is not None:
         lhs = ("COUNT(*)" if ast.having.column == COUNT_PSEUDO_COLUMN
-               else _ident(ast.having.column))
+               else quote_name(ast.having.column))
         sql += f" HAVING {_render_condition(ast.having, params, lhs)}"
 
     order_pairs = list(ast.order_by)
     if executed:
         order_pairs += _implicit_order(ast, order_pairs)
     if order_pairs:
-        rendered = ", ".join([f"{_ident(c)} {d.upper()}" for c, d in order_pairs])
+        rendered = ", ".join([f"{quote_name(c)} {d.upper()}" for c, d in order_pairs])
         sql += f" ORDER BY {rendered}"
     if ast.limit is not None:
         sql += f" LIMIT {ast.limit}"

@@ -25,10 +25,11 @@ Each conference row also keeps what its papers were parsed from:
 order, and ``hop_urls``, a JSON array of its pagination-hop URLs (NULL when
 it has none).  A failed crawl leaves ``page_digests`` NULL.
 
-The schema version lives in ``PRAGMA user_version``.  Version 0 stored the
+The DDL below is the schema; every other column fact is read from it.  The
+schema version lives in ``PRAGMA user_version``.  Version 0 stored the
 normalized names joined by ``" | "``; version 1 had no page digests.
-``init_schema`` migrates an older store to version 2 in one transaction and
-writes nothing to an up-to-date one.
+``init_schema`` migrates an older store in one transaction, adding each
+declared column an older table lacks, and writes nothing to an up-to-date one.
 
 ``filter_stored`` evaluates filter rules in SQLite and ``stats_stored`` groups
 there, but counts the author dimension in one scan in Python, where a paper
@@ -80,8 +81,6 @@ CREATE TABLE IF NOT EXISTS conference (
   page_digests BLOB,
   hop_urls TEXT
 )"""
-# Columns version 2 added to the conference table.
-_V2_COLUMNS = (("page_digests", "BLOB"), ("hop_urls", "TEXT"))
 
 DDL_PAPER = """\
 CREATE TABLE IF NOT EXISTS paper (
@@ -97,17 +96,35 @@ CREATE TABLE IF NOT EXISTS paper (
   bibkey TEXT
 )"""
 
-PAPER_COLUMNS = (
-    "anthology_id", "title", "authors", "authors_normalized", "venue_key",
-    "year", "page_url", "pdf_url", "abstract", "bibkey",
-)
-CONFERENCE_COLUMNS = (
-    "conf_id", "venue_key", "year", "title", "desc", "url", "category",
-    "kind", "status", "attempts", "last_error", "fetched_at", "paper_count",
-)
-INT_COLUMNS = {"year", "attempts", "paper_count"}
-PRIMARY_KEYS = {"paper": "anthology_id", "conference": "conf_id"}
-TABLE_COLUMNS = {"paper": PAPER_COLUMNS, "conference": CONFERENCE_COLUMNS}
+# A column line of the DDL: its name, quoted where SQL needs it, and declaration.
+_COLUMN_LINE = re.compile(r'^  ("?)(\w+)\1 ([^,\n]+),?$', re.M)
+# table -> {column: declaration}, in DDL order
+_DECLARED = {re.match(r"CREATE TABLE IF NOT EXISTS (\w+)", ddl)[1]:
+             {m[2]: m[3] for m in _COLUMN_LINE.finditer(ddl)}
+             for ddl in (DDL_CONFERENCE, DDL_PAPER)}
+_QUOTED = frozenset(m[2] for m in _COLUMN_LINE.finditer(DDL_CONFERENCE + DDL_PAPER) if m[1])
+# What a conference was parsed from: the crawl's own record, not queryable.
+_PAGE_COLUMNS = {"page_digests", "hop_urls"}
+
+TABLE_COLUMNS = {table: tuple(c for c in declared if c not in _PAGE_COLUMNS)
+                 for table, declared in _DECLARED.items()}
+PAPER_COLUMNS = TABLE_COLUMNS["paper"]
+CONFERENCE_COLUMNS = TABLE_COLUMNS["conference"]
+INT_COLUMNS = {column for declared in _DECLARED.values()
+               for column, decl in declared.items() if decl.startswith("INTEGER")}
+PRIMARY_KEYS = {table: column for table, declared in _DECLARED.items()
+                for column, decl in declared.items() if "PRIMARY KEY" in decl}
+
+
+def quote_name(column: str) -> str:
+    """``column`` as SQL names it: in double quotes where the DDL writes it so."""
+    return f'"{column}"' if column in _QUOTED else column
+
+
+# table -> its INSERT OR REPLACE of every declared column, in DDL order
+_UPSERT = {table: f"INSERT OR REPLACE INTO {table} ({', '.join(map(quote_name, declared))}) "
+                  f"VALUES ({', '.join('?' * len(declared))})"
+           for table, declared in _DECLARED.items()}
 _decode_json = json.JSONDecoder().decode
 
 
@@ -239,13 +256,9 @@ class Store:
         return [dict(zip(names, row)) for row in rows]
 
     def execute_scalar(self, sql: str, params: Sequence = ()):
-        with self.lock:
-            self._check_open()
-            try:
-                row = self._conn.execute(sql, tuple(params)).fetchone()
-            except sqlite3.Error as exc:
-                raise StoreUnavailable(f"query failed: {exc}") from exc
-        return None if row is None else row[0]
+        """The first value of ``execute_sql``'s first row; None without a row."""
+        rows = self.execute_sql(sql, params)
+        return next(iter(rows[0].values())) if rows else None
 
     # -- write path (serialized) --------------------------------------------
 
@@ -354,10 +367,11 @@ def _upgrade(conn: sqlite3.Connection) -> None:
                     [(_json_list(normalize_author(a).normalized
                                  for a in json.loads(authors)), aid)
                      for aid, authors in rows])
-            have = {row[1] for row in conn.execute("PRAGMA table_info(conference)")}
-            for column, decl in _V2_COLUMNS:
-                if column not in have:  # an older table; a new one has them
-                    conn.execute(f"ALTER TABLE conference ADD COLUMN {column} {decl}")
+            for table, declared in _DECLARED.items():
+                have = {row[1] for row in conn.execute(f"PRAGMA table_info({table})")}
+                for column, decl in declared.items():
+                    if column not in have:  # an older table's; a new one has them all
+                        conn.execute(f"ALTER TABLE {table} ADD COLUMN {quote_name(column)} {decl}")
             conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
         conn.execute("COMMIT")
     except BaseException:
@@ -397,22 +411,10 @@ def _paper_row(rec: PaperRecord) -> tuple:
     )
 
 
-_CONFERENCE_UPSERT = (
-    'INSERT OR REPLACE INTO conference (conf_id, venue_key, year, title, "desc", url, '
-    "category, kind, status, attempts, last_error, fetched_at, paper_count, "
-    "page_digests, hop_urls) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
-)
-_PAPER_UPSERT = (
-    "INSERT OR REPLACE INTO paper (anthology_id, title, authors, authors_normalized, "
-    "venue_key, year, page_url, pdf_url, abstract, bibkey) "
-    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
-)
-
-
 def upsert_conference(h: Store, rec: ConferenceRecord, commit: bool = True) -> None:
     """Insert or replace the row keyed by conf_id, with no page digests;
     ``commit`` as for ``Store._write_batch``."""
-    h._write_batch([(_CONFERENCE_UPSERT, _conference_row(rec))], commit)
+    h._write_batch([(_UPSERT["conference"], _conference_row(rec))], commit)
 
 
 def _paper_upserts(papers: Sequence[PaperRecord]) -> list[tuple[str, tuple]]:
@@ -421,7 +423,7 @@ def _paper_upserts(papers: Sequence[PaperRecord]) -> list[tuple[str, tuple]]:
     if len(ids) != len(set(ids)):
         dupes = sorted({i for i in ids if ids.count(i) > 1})
         raise DuplicateInBatch(f"duplicate anthology_id in batch: {dupes}")
-    return [(_PAPER_UPSERT, _paper_row(p)) for p in papers]
+    return [(_UPSERT["paper"], _paper_row(p)) for p in papers]
 
 
 def upsert_papers(h: Store, recs: Sequence[PaperRecord]) -> tuple[int, int]:
@@ -449,7 +451,7 @@ def upsert_crawl_batch(h: Store, conference: ConferenceRecord,
     pages it was parsed from, plus its papers -- as one batch, all or
     nothing; ``commit`` as for ``Store._write_batch``."""
     row = _conference_row(conference, page_digests, hop_urls)
-    h._write_batch([(_CONFERENCE_UPSERT, row), *_paper_upserts(papers)], commit)
+    h._write_batch([(_UPSERT["conference"], row), *_paper_upserts(papers)], commit)
 
 
 class StoredPages(NamedTuple):

@@ -477,9 +477,11 @@ def test_report_json_into_missing_directory(db_env):
     (["query", "--where", "year:in:2021,,2022"], "column 'year' wants an integer, got ''"),
     (["harvest", "--source", f"fixture:{FIXTURES}", "--venues", "!!"],
      "no token characters in venue name '!!'"),
+    (["harvest", "--source", "mock:"], "mock source '' is not an absolute http(s) URL"),
+    (["stats", "--by", "venue", "--by", "venue"], "dimension 'venue' given more than once"),
 ], ids=["stats-bogus", "stats-no-by", "filter-no-rules", "query-bad-int", "harvest-bad-years",
         "harvest-one-year", "harvest-reversed-years", "query-no-op", "query-empty-int-item",
-        "harvest-bad-venue"])
+        "harvest-bad-venue", "harvest-bad-source", "stats-repeated-by"])
 def test_usage_error_creates_no_store(db_env, capsys, argv, message):
     assert main(argv) == 1
     assert capsys.readouterr().err == f"usage error: {message}\n"
@@ -708,3 +710,11 @@ class TestConfigFile:
                      *argv])
         assert code == 1
         assert f"usage error: {message}" in capsys.readouterr().err
+
+    def test_bad_source_setting_creates_no_store(self, db_env, capsys):
+        cfg = db_env / "anthology.toml"
+        cfg.write_text('[crawl]\nsource = "fixture:/nonexistent"\n', encoding="utf-8")
+        assert main(["--config", str(cfg), "harvest"]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: fixture source '/nonexistent' is not a directory\n")
+        assert not (db_env / "aclanthology.db").exists()

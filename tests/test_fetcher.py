@@ -52,12 +52,25 @@ class TestPolicy:
         with pytest.raises(ValueError):
             FetchPolicy(min_interval_ms=-1)
 
-    def test_source_spec_parsing(self):
+    def test_source_spec_parsing(self, fixtures_root):
         assert isinstance(parse_source_spec("live"), LiveSource)
-        assert parse_source_spec("fixture:fixtures").root.name == "fixtures"
+        assert parse_source_spec(f"fixture:{fixtures_root}").root == fixtures_root
         assert parse_source_spec("mock:http://127.0.0.1:99").endpoint.endswith(":99")
         with pytest.raises(ValueError):
             parse_source_spec("carrier-pigeon")
+
+    @pytest.mark.parametrize("spec, message", [
+        ("fixture:", "fixture source '' is not a directory"),
+        ("fixture:/nonexistent", "fixture source '/nonexistent' is not a directory"),
+        ("live:", "live source '' is not an absolute http(s) URL"),
+        ("mock:", "mock source '' is not an absolute http(s) URL"),
+        ("mock:localhost:1", "mock source 'localhost:1' is not an absolute http(s) URL"),
+        ("fixture", "unknown source spec 'fixture'"),
+    ])
+    def test_bad_source_spec_is_refused(self, spec, message):
+        with pytest.raises(ValueError) as err:
+            parse_source_spec(spec)
+        assert str(err.value) == message
 
 
 class TestFixtureSource:
@@ -387,6 +400,51 @@ except Exhausted:
         assert [h["Proxy-Authorization"] for h in proxy.headers] == [credentials] * 2
         assert direct.paths == ["/p.html"]
         assert "Proxy-Authorization" not in direct.headers[0]
+
+    @pytest.fixture
+    def proxy_env(self, monkeypatch):
+        """No proxy setting but the test's own, and no host name resolved but
+        the loopback address: a proxy not honoured fails the test instead of
+        reaching out."""
+        for name in list(os.environ):
+            if name.lower().endswith("_proxy"):
+                monkeypatch.delenv(name)
+        resolve = socket.getaddrinfo
+
+        def local_only(host, *args, **kwargs):
+            assert host == "127.0.0.1", f"resolved {host}"
+            return resolve(host, *args, **kwargs)
+
+        monkeypatch.setattr(socket, "getaddrinfo", local_only)
+        return monkeypatch
+
+    def test_plain_http_names_the_absolute_url_to_the_proxy(self, proxy_env):
+        with ReplyServer([({}, PAGE)]) as proxy:
+            proxy_env.setenv("http_proxy", proxy.source.endpoint.replace("://", "://user:pw@"))
+            res = fetch("http://example.invalid/p.html", FAST, LiveSource())
+        assert res.body == PAGE
+        assert proxy.paths == ["http://example.invalid/p.html"]
+        assert proxy.headers[0]["Proxy-Authorization"] == "Basic dXNlcjpwdw=="
+
+    def test_no_proxy_goes_straight_to_the_origin(self, proxy_env):
+        with socket.socket() as dead, ReplyServer([({}, PAGE)]) as direct:
+            dead.bind(("127.0.0.1", 0))  # bound, not listening: connections are refused
+            proxy_env.setenv("http_proxy", "http://127.0.0.1:%d" % dead.getsockname()[1])
+            proxy_env.setenv("no_proxy", "127.0.0.1")
+            res = fetch(direct.source.endpoint + "/p.html", FAST, LiveSource())
+        assert res.body == PAGE
+        assert direct.paths == ["/p.html"]
+        assert "Proxy-Authorization" not in direct.headers[0]
+
+    def test_https_asks_the_proxy_for_a_tunnel(self, proxy_env):
+        with ReplyServer([None]) as proxy:  # answers CONNECT with 502
+            proxy_env.setenv("https_proxy", proxy.source.endpoint.replace("://", "://user:pw@"))
+            with pytest.raises(Exhausted) as err:
+                fetch("https://example.invalid/p.html", FAST, LiveSource())
+        assert err.value.attempts_used == FAST.max_attempts
+        assert proxy.paths == ["CONNECT example.invalid:443"] * FAST.max_attempts
+        assert [h["Proxy-Authorization"] for h in proxy.headers] == (
+            ["Basic dXNlcjpwdw=="] * FAST.max_attempts)
 
     def test_request_path_is_percent_encoded(self):
         with ReplyServer([({}, PAGE)]) as server:

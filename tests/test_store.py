@@ -6,6 +6,7 @@ import sqlite3
 import threading
 import time
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -90,6 +91,40 @@ V0_PAPER_DDL = """CREATE TABLE paper (
   page_url TEXT NOT NULL, pdf_url TEXT, abstract TEXT, bibkey TEXT)"""
 
 
+# The schema as written out before the column facts were read from it.
+CONFERENCE_DDL = """\
+CREATE TABLE IF NOT EXISTS conference (
+  conf_id TEXT PRIMARY KEY,
+  venue_key TEXT NOT NULL,
+  year INTEGER NOT NULL,
+  title TEXT NOT NULL,
+  "desc" TEXT,
+  url TEXT NOT NULL,
+  category TEXT NOT NULL,
+  kind TEXT NOT NULL,
+  status TEXT NOT NULL,
+  attempts INTEGER NOT NULL,
+  last_error TEXT,
+  fetched_at TEXT,
+  paper_count INTEGER,
+  page_digests BLOB,
+  hop_urls TEXT
+)"""
+PAPER_DDL = """\
+CREATE TABLE IF NOT EXISTS paper (
+  anthology_id TEXT PRIMARY KEY,
+  title TEXT NOT NULL,
+  authors TEXT NOT NULL,
+  authors_normalized TEXT NOT NULL,
+  venue_key TEXT NOT NULL,
+  year INTEGER NOT NULL,
+  page_url TEXT NOT NULL,
+  pdf_url TEXT,
+  abstract TEXT,
+  bibkey TEXT
+)"""
+
+
 def _digest(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -111,6 +146,63 @@ class TestExecuteSql:
         result = mem_store.execute_sql(sql)
         assert result == rows
         assert [list(row) for row in result] == [list(row) for row in rows]
+
+
+    @pytest.mark.parametrize("sql, value", [
+        ("SELECT 1 AS x, 2 AS x", 1),
+        ("SELECT 2 AS b, 1 AS a UNION ALL SELECT 3, 4", 2),
+        ("SELECT NULL", None),
+        ("SELECT anthology_id FROM paper", None),
+    ])
+    def test_scalar_is_the_first_value_of_the_first_row(self, mem_store, sql, value):
+        assert mem_store.execute_scalar(sql) == value
+
+    def test_failing_scalar_read_is_a_failed_query(self, mem_store):
+        with pytest.raises(StoreUnavailable, match="^query failed: no such column"):
+            mem_store.execute_scalar("SELECT nope FROM paper")
+        mem_store.close()
+        with pytest.raises(StoreUnavailable, match="is closed$"):
+            mem_store.execute_scalar("SELECT 1")
+
+
+class TestSchema:
+    """The DDL is the schema: the column facts are read from it, and equal
+    what was written out by hand before."""
+
+    def test_ddl_and_upserts_are_pinned(self):
+        assert store_mod.DDL_CONFERENCE == CONFERENCE_DDL
+        assert store_mod.DDL_PAPER == PAPER_DDL
+        assert store_mod._UPSERT == {
+            "conference": 'INSERT OR REPLACE INTO conference (conf_id, venue_key, year, '
+                          'title, "desc", url, category, kind, status, attempts, last_error, '
+                          "fetched_at, paper_count, page_digests, hop_urls) VALUES "
+                          "(?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            "paper": "INSERT OR REPLACE INTO paper (anthology_id, title, authors, "
+                     "authors_normalized, venue_key, year, page_url, pdf_url, abstract, "
+                     "bibkey) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+        }
+
+    def test_column_facts_are_pinned(self):
+        assert store_mod.PAPER_COLUMNS == (
+            "anthology_id", "title", "authors", "authors_normalized", "venue_key",
+            "year", "page_url", "pdf_url", "abstract", "bibkey")
+        assert store_mod.CONFERENCE_COLUMNS == (
+            "conf_id", "venue_key", "year", "title", "desc", "url", "category",
+            "kind", "status", "attempts", "last_error", "fetched_at", "paper_count")
+        assert store_mod.TABLE_COLUMNS == {"paper": store_mod.PAPER_COLUMNS,
+                                           "conference": store_mod.CONFERENCE_COLUMNS}
+        assert store_mod.INT_COLUMNS == {"year", "attempts", "paper_count"}
+        assert store_mod.PRIMARY_KEYS == {"paper": "anthology_id", "conference": "conf_id"}
+        assert [store_mod.quote_name(c) for c in ("desc", "title", "year")] == [
+            '"desc"', "title", "year"]
+
+    @pytest.mark.parametrize("ddl", [CONFERENCE_DDL, PAPER_DDL], ids=["conference", "paper"])
+    def test_declarations_rebuild_the_ddl(self, ddl):
+        # Every column line is read whole: name, quoting and declaration.
+        table = ddl.split()[5]
+        lines = [f"  {store_mod.quote_name(column)} {decl}"
+                 for column, decl in store_mod._DECLARED[table].items()]
+        assert f"CREATE TABLE IF NOT EXISTS {table} (\n" + ",\n".join(lines) + "\n)" == ddl
 
 
 class TestMigration:
@@ -145,6 +237,29 @@ class TestMigration:
         with init_schema(StoreConfig(location=str(path))) as h:
             assert list(load_all_papers(h)) == papers
         assert _digest(path) == migrated
+
+    def test_v1_paper_table_gains_a_declared_column_it_lacks(self, tmp_path):
+        path = tmp_path / "v1.db"
+        papers = [make_paper(aid="2022.acl-long.1"),
+                  make_paper(aid="2022.acl-long.2", abstract="An abstract.")]
+        conn = sqlite3.connect(path)
+        conn.execute(V0_PAPER_DDL.replace(", bibkey TEXT", ""))
+        conn.executemany("INSERT INTO paper VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)", [
+            (p.anthology_id, p.title, json.dumps([a.full for a in p.authors]),
+             json.dumps([a.normalized for a in p.authors]), p.venue_key, p.year,
+             p.page_url, p.pdf_url, p.abstract)
+            for p in papers])
+        conn.execute("PRAGMA user_version = 1")
+        conn.commit()
+        conn.close()
+
+        with init_schema(StoreConfig(location=str(path))) as h:
+            assert h.execute_scalar("PRAGMA user_version") == 2
+            assert [row["name"] for row in h.execute_sql("PRAGMA table_info(paper)")] == [
+                *store_mod.PAPER_COLUMNS]
+            assert list(load_all_papers(h)) == papers
+            upsert_papers(h, [replace(papers[0], bibkey="k1")])
+            assert [p.bibkey for p in load_all_papers(h)] == ["k1", None]
 
     def test_disagreeing_author_arrays_raise(self):
         row = dict(zip(store_mod.PAPER_COLUMNS, (
