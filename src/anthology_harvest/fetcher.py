@@ -86,12 +86,6 @@ class FetchResult:
     status: int
     attempts_used: int
 
-    def __post_init__(self) -> None:
-        if not (100 <= self.status <= 599):
-            raise ValueError(f"status {self.status} outside [100, 599]")
-        if self.attempts_used < 1:
-            raise ValueError("attempts_used must be >= 1")
-
 
 @dataclass(frozen=True, slots=True)
 class LiveSource:
@@ -108,8 +102,9 @@ class LiveSource:
 class FixtureSource:
     """Serve pages from a local directory; performs no network activity.
 
-    URLs resolve by path under ``root``: ``https://anthology.test/a/b.html``
-    maps to ``root/a/b.html``.  Bare relative paths are accepted too.
+    URLs resolve by their percent-decoded path under ``root``:
+    ``https://anthology.test/a/b%20c.html`` maps to ``root/a/b c.html``.
+    Bare relative paths are accepted too.
     """
 
     root: Path
@@ -184,8 +179,7 @@ def _fixture_fetch(url: str, root: Path) -> FetchResult:
     parts = urlparse(url)
     if parts.scheme and parts.scheme not in ("http", "https"):
         raise Unresolvable(f"unsupported scheme in {url!r}", url=url)
-    path = parts.path if parts.scheme else url
-    path = path.split("?")[0]
+    path = unquote((parts.path if parts.scheme else url).split("?")[0])
     if path.endswith("/") or path == "":
         path = path + "index.html"
     normalized = posixpath.normpath(path.lstrip("/"))
@@ -375,12 +369,15 @@ def fetch(url: str, policy: FetchPolicy, source: Source, *,
         Unresolvable: malformed URL (bad port or host name included) or
             unresolvable fixture path.
     """
-    if isinstance(source, FixtureSource):
-        return _fixture_fetch(url, source.root)
-
-    url = resolve_against(source, url)
-    parts = urlparse(url)
-    if parts.scheme not in ("http", "https") or not parts.netloc:
+    try:
+        if isinstance(source, FixtureSource):
+            return _fixture_fetch(url, source.root)
+        resolved = resolve_against(source, url)
+        absolute = is_absolute_url(resolved)
+    except ValueError as exc:  # an unclosed IPv6 bracket, a NUL in a fixture path
+        raise Unresolvable(f"malformed URL {url!r}: {exc}", url=url) from None
+    url = resolved
+    if not absolute:
         raise Unresolvable(f"not an absolute http(s) URL: {url!r}", url=url)
     if gate is None:
         gate = RateGate(policy.min_interval_ms)

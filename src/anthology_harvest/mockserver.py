@@ -1,11 +1,12 @@
 """A scriptable local HTTP server for crawler tests.
 
-Serves a fixture directory over GET, can be programmed with per-path status
+Serves a fixture directory over GET (a request path is percent-decoded
+before it is mapped to a file), can be programmed with per-path status
 sequences (fault injection), and records one ``(timestamp, path)`` log entry
-per request.  When the client sends an ``X-Request-Start`` header (the
-fetcher always does) its value becomes the logged timestamp, so politeness
-gaps are measured where they are enforced; otherwise the server's own
-monotonic receipt time is used.
+per request, with the path as received.  When the client sends an
+``X-Request-Start`` header (the fetcher always does) its value becomes the
+logged timestamp, so politeness gaps are measured where they are enforced;
+otherwise the server's own monotonic receipt time is used.
 
 The server speaks HTTP/1.1 (``http.server``) and keeps each connection open
 between requests, as a real server does.  It counts the connections it
@@ -23,6 +24,7 @@ import time
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from urllib.parse import unquote
 
 START_HEADER = "X-Request-Start"  # fetcher.START_HEADER, without loading the fetcher
 
@@ -176,11 +178,11 @@ class ScriptedCorpusServer:
             handler.wfile.write(body)
             return
 
-        rel = path.lstrip("/")
+        rel = unquote(path).lstrip("/")
         if rel.endswith("/") or rel == "":
             rel += "index.html"
         target = self.root / rel
-        if not target.is_file() or ".." in Path(rel).parts:
+        if ".." in Path(rel).parts or not target.is_file():
             handler.send_response(404)
             handler.send_header("Content-Length", "0")
             handler.end_headers()

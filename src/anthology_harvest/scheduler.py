@@ -11,12 +11,12 @@ touch is immutable.  The connection pool holds at most one connection per
 worker and origin, and is closed once the workers have stopped.
 
 A worker writes each task's outcome as one batch, all or nothing, into the
-store's open transaction, then hands the calling thread a token on a queue
-and goes on; that thread commits in groups, and a task counts as stored once
-its group is committed.  A permanently failing task is recorded as failed
-and never blocks the others.  After the workers finish, the store's log is
-checkpointed into its file; a checkpoint that a reader blocks is logged, and
-the crawl's writes stay in the log.
+store's open transaction, hands the calling thread the task's record on a
+queue in the same step, and goes on; that thread commits in groups, and a
+task counts as stored once its group is committed.  A permanently failing
+task is recorded as failed and never blocks the others.  After the workers
+finish, the store's log is checkpointed into its file; a checkpoint that a
+reader blocks is logged, and the crawl's writes stay in the log.
 
 Each stored conference keeps a digest of every page it was parsed from.  A
 re-run still fetches every page, but while each page's digest matches the
@@ -143,14 +143,22 @@ def page_digest(url: str, body: bytes, conf: ConferenceRecord | None = None) -> 
 
 
 @dataclass
-class _Pages:
-    """What the task of ``conf`` has fetched so far: attempts, and the digest
-    of every page and the URL of every pagination hop, in crawl order."""
+class _Task:
+    """One conference's task, from its worker to its commit: its start, its
+    fetches (attempts, each page's digest and each hop's URL, in crawl order),
+    its papers (None if none were parsed, emptied once written) and its log."""
 
     conf: ConferenceRecord
+    started: float = field(default_factory=time.monotonic)
     attempts: int = 0
     digests: bytearray = field(default_factory=bytearray)
     hop_urls: list[str] = field(default_factory=list)
+    papers: list[PaperRecord] | None = None
+    log: CrawlLog = CrawlLog(CrawlStatus.FAILED, attempts=1, last_error="cancelled")
+
+    @property
+    def unchanged(self) -> bool:  # stored without a parse: every page digest matched
+        return self.papers is None and self.log.status is CrawlStatus.STORED
 
 
 class CrawlSession:
@@ -164,13 +172,10 @@ class CrawlSession:
         self._executor = ThreadPoolExecutor(config.workers, thread_name_prefix="crawl")
         self._lock = threading.Lock()
         self._cancel = threading.Event()
-        # (conf, log, started, unchanged) of each task written since the last commit.
-        self._written: list[tuple[ConferenceRecord, CrawlLog, float, bool]] = []
-        self._tokens: queue.SimpleQueue[None] = queue.SimpleQueue()  # one per written task
+        self._written: queue.SimpleQueue[_Task] = queue.SimpleQueue()  # not yet committed
+        self._finished: list[_Task] = []  # committed, in the order they were
         self._plan: list[ConferenceRecord] | None = None
         self._requests = 0
-        self._unchanged = 0  # the one count a CrawlLog does not record
-        self._per_conference: dict[str, CrawlLog] = {}
         self._stored: dict[str, store_mod.StoredPages] = {}
 
     # -- monitoring --------------------------------------------------------
@@ -178,9 +183,8 @@ class CrawlSession:
     def snapshot(self) -> tuple[int, int, int]:
         """(done, total, failed); done counts tasks whose group is committed."""
         with self._lock:
-            failed = sum(log.status is CrawlStatus.FAILED
-                         for log in self._per_conference.values())
-            return len(self._per_conference) - failed, len(self._plan or ()), failed
+            failed = sum(task.log.status is CrawlStatus.FAILED for task in self._finished)
+            return len(self._finished) - failed, len(self._plan or ()), failed
 
     def cancel(self) -> None:
         """Ask workers to drain: tasks not yet started finish as failed('cancelled')."""
@@ -188,9 +192,9 @@ class CrawlSession:
 
     # -- fetching and discovery ----------------------------------------------
 
-    def _fetch(self, url: str, pages: _Pages | None = None) -> bytes:
+    def _fetch(self, url: str, task: _Task | None = None) -> bytes:
         """Fetch one page of the crawl; its attempts, a failed page's too, count in the
-        report's requests and in ``pages``, with its digest (and URL, if a hop)."""
+        report's requests and in ``task``, with its digest (and URL, if a hop)."""
         attempts = 0
         try:
             page = fetch(url, self.config.policy, self.config.source,
@@ -200,14 +204,14 @@ class CrawlSession:
             attempts = exc.attempts_used
             raise
         finally:
-            if pages is not None:
-                pages.attempts += attempts
+            if task is not None:
+                task.attempts += attempts
             with self._lock:
                 self._requests += attempts
-        if pages is not None:
-            if pages.digests:
-                pages.hop_urls.append(url)
-            pages.digests += page_digest(url, page.body, None if pages.digests else pages.conf)
+        if task is not None:
+            if task.digests:
+                task.hop_urls.append(url)
+            task.digests += page_digest(url, page.body, None if task.digests else task.conf)
         return page.body
 
     def _discover(self) -> dict[str, list[ConferenceRecord]]:
@@ -234,9 +238,8 @@ class CrawlSession:
 
     # -- task execution ------------------------------------------------------
 
-    def _fetch_and_parse(self, conf: ConferenceRecord, pages: _Pages
-                         ) -> list[PaperRecord] | None:
-        """Fetch the proceedings page plus pagination hops into ``pages``;
+    def _fetch_and_parse(self, task: _Task) -> list[PaperRecord] | None:
+        """Fetch the proceedings page plus pagination hops into ``task``;
         returns the papers, or None when every page matched its stored digest.
 
         While the digests match, the stored crawl order is followed, which
@@ -250,12 +253,13 @@ class CrawlSession:
         Raises:
             FetchError: a page failed.
         """
+        conf = task.conf
         stored = self._stored.get(conf.conf_id)
         fetched: dict[str, bytes] = {}
         if stored is not None:
             for url in (conf.url, *stored.hop_urls):
-                fetched[url] = self._fetch(url, pages)
-                if stored.page_digests[:len(pages.digests)] != pages.digests:
+                fetched[url] = self._fetch(url, task)
+                if stored.page_digests[:len(task.digests)] != task.digests:
                     break
             else:
                 return None
@@ -269,7 +273,7 @@ class CrawlSession:
             visited.add(url)
             body = fetched.pop(url, None)
             if body is None:
-                body = self._fetch(url, pages)
+                body = self._fetch(url, task)
             next_links, papers, report = parser.parse_proceedings(
                 body.decode("utf-8", errors="replace"), conf, base_url=url)
             for warning in report.warnings:
@@ -284,48 +288,45 @@ class CrawlSession:
         return list(merged.values())
 
     def _run_task(self, conf: ConferenceRecord) -> None:
-        started, pages, papers = time.monotonic(), _Pages(conf), None
+        task = _Task(conf)
         cancelled = self._cancel.is_set()
-        log = CrawlLog(status=CrawlStatus.FAILED, attempts=1, last_error="cancelled")
         try:
             if not cancelled:
-                papers = self._fetch_and_parse(conf, pages)
-                count = (self._stored[conf.conf_id].paper_count if papers is None
-                         else len(papers))
+                task.papers = self._fetch_and_parse(task)
+                count = (self._stored[conf.conf_id].paper_count if task.papers is None
+                         else len(task.papers))
                 now = datetime.now(timezone.utc).isoformat(timespec="seconds")
-                log = CrawlLog(status=CrawlStatus.STORED, attempts=pages.attempts,
-                               fetched_at=now, paper_count=count)
+                task.log = CrawlLog(status=CrawlStatus.STORED, attempts=task.attempts,
+                                    fetched_at=now, paper_count=count)
         except Exception as exc:  # failure isolation: record, never propagate
-            log = _failed_log(exc, pages.attempts)
+            task.log = _failed_log(exc, task.attempts)
         # One step under the store's write lock: a commit holds the rows of
         # exactly the tasks handed over before it.  A failed task's row keeps
         # no papers and no page digests.
         with self.handle.lock:
-            stored = log.status is CrawlStatus.STORED
+            stored = task.log.status is CrawlStatus.STORED
             try:
                 if not cancelled:
                     store_mod.upsert_crawl_batch(
-                        self.handle, replace(conf, crawl_log=log), papers or [],
-                        bytes(pages.digests) if stored else None,
-                        pages.hop_urls if stored else (), commit=False)
+                        self.handle, replace(conf, crawl_log=task.log), task.papers or [],
+                        bytes(task.digests) if stored else None,
+                        task.hop_urls if stored else (), commit=False)
             except Exception as exc:  # its own savepoint is rolled back
                 if isinstance(exc, StoreUnavailable):
                     self._cancel.set()  # the store is gone: drain what's left
                 if stored:
-                    log = _failed_log(exc, log.attempts)
-            self._written.append((conf, log, started, papers is None))
-        self._tokens.put(None)
+                    task.log = _failed_log(exc, task.log.attempts)
+            if task.papers:  # the record lives until the report; its papers need not
+                task.papers = []
+            self._written.put(task)
 
-    def _finish(self, conf: ConferenceRecord, log: CrawlLog, started: float,
-                unchanged: bool) -> None:
-        elapsed_ms = int((time.monotonic() - started) * 1000)
-        unchanged = unchanged and log.status is CrawlStatus.STORED
+    def _finish(self, task: _Task) -> None:
+        ms = int((time.monotonic() - task.started) * 1000)
         with self._lock:
-            self._per_conference[conf.conf_id] = log
-            self._unchanged += unchanged
-        status = "unchanged" if unchanged else log.status.value
+            self._finished.append(task)
+        status = "unchanged" if task.unchanged else task.log.status.value
         # One write: print()'s separate newline let a worker's log line in between.
-        sys.stderr.write(f"{conf.conf_id} {status} {log.paper_count or 0} {elapsed_ms}\n")
+        sys.stderr.write(f"{task.conf.conf_id} {status} {task.log.paper_count or 0} {ms}\n")
 
     def prepare(self) -> int:
         """Discover and plan the tasks; returns the task count.
@@ -355,31 +356,29 @@ class CrawlSession:
         try:
             for conf in self._plan:
                 self._executor.submit(self._run_task, conf)
-            total, workers = len(self._plan), self.config.workers
-            seen = done = 0  # tokens taken; tasks committed
+            left, workers = len(self._plan), self.config.workers
             # Once as many tasks as there are workers (or all that are left)
-            # are written, commit them as one group, then finish them.  Never
-            # wait on a Condition here: Ctrl-C inside its Python code can leave
-            # the store's lock held, and the shutdown below then waits forever
-            # for a worker blocked on it.  SimpleQueue.get is C and holds none.
-            while done < total:
-                self._tokens.get()
-                seen += 1
-                if seen - done < min(workers, total - done):
-                    continue
-                with self.handle.lock:
-                    group, self._written = self._written, []
+            # are written, commit them and every task written since as one
+            # group, then finish them.  Never wait on a Condition here: Ctrl-C
+            # inside its Python code can leave the store's lock held, and the
+            # shutdown below then waits forever for a worker blocked on it.
+            # SimpleQueue.get is C and holds none.
+            while left:
+                group = [self._written.get() for _ in range(min(workers, left))]
+                with self.handle.lock:  # no task is handed over while it is held
+                    while not self._written.empty():
+                        group.append(self._written.get_nowait())
                     try:
                         self.handle.commit()
                         error = None
                     except StoreUnavailable as exc:
                         self._cancel.set()
                         error = exc
-                for conf, log, started, unchanged in group:
-                    if error is not None and log.status is CrawlStatus.STORED:
-                        log = _failed_log(error, log.attempts)
-                    self._finish(conf, log, started, unchanged)
-                done += len(group)
+                for task in group:
+                    if error is not None and task.log.status is CrawlStatus.STORED:
+                        task.log = _failed_log(error, task.log.attempts)
+                    self._finish(task)
+                left -= len(group)
         finally:
             self._executor.shutdown(cancel_futures=True)
             self._pool.close()
@@ -395,11 +394,11 @@ class CrawlSession:
     def _report(self, t0: float) -> CrawlReport:
         """The report, counted from the task logs once the workers have stopped."""
         succeeded, total, failed = self.snapshot()
-        logs = dict(self._per_conference)
+        logs = {task.conf.conf_id: task.log for task in self._finished}
         return CrawlReport(total, succeeded, failed,
                            sum(log.paper_count or 0 for log in logs.values()), logs,
-                           int((time.monotonic() - t0) * 1000), self._unchanged,
-                           self._requests)
+                           int((time.monotonic() - t0) * 1000),
+                           sum(task.unchanged for task in self._finished), self._requests)
 
 
 def run_crawl(config: CrawlConfig, store_handle: store_mod.Store) -> CrawlReport:

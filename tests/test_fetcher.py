@@ -93,6 +93,11 @@ class TestFixtureSource:
     def test_escape_is_unresolvable(self, fixtures_root):
         with pytest.raises(Unresolvable):
             fetch("../secrets.txt", FAST, FixtureSource(root=fixtures_root))
+        # No file name holds a NUL, and urlparse refuses an unclosed IPv6 bracket.
+        for url in ("proceedings/acl-2022\x00.html", "http://[::1/x"):
+            with pytest.raises(Unresolvable) as err:
+                fetch(url, FAST, FixtureSource(root=fixtures_root))
+            assert err.value.url == url
 
     def test_zero_network(self, fixtures_root, monkeypatch):
         def explode(*a, **k):
@@ -151,9 +156,14 @@ class TestMockFetch:
     def test_bad_url_unresolvable(self):
         with pytest.raises(Unresolvable):
             fetch("not a url", FAST, LiveSource())
+        # The mock source rebases a URL onto its endpoint, which parses it first.
+        with pytest.raises(Unresolvable) as err:
+            fetch("http://[::1/x", FAST, MockSource(endpoint="http://127.0.0.1:9"))
+        assert err.value.url == "http://[::1/x"
 
-    @pytest.mark.parametrize("url", ["http://127.0.0.1:port/x.html", "http://a..b/x.html"],
-                             ids=["non-numeric-port", "empty-host-label"])
+    @pytest.mark.parametrize("url", ["http://127.0.0.1:port/x.html", "http://a..b/x.html",
+                                     "http://[::1/x"],
+                             ids=["non-numeric-port", "empty-host-label", "unclosed-ipv6"])
     def test_malformed_host_unresolvable(self, url):
         with pytest.raises(Unresolvable) as err:
             fetch(url, FAST, LiveSource())
@@ -213,6 +223,40 @@ class TestMockServerItself:
         _get_status(mock_server.base_url + "/index.html?page=2")
         counts = mock_server.request_counts()
         assert counts["/index.html"] == 2
+
+
+class TestPercentDecodedPaths:
+    """Both sources map a path to a file once it is percent-decoded, as a web
+    server does, and refuse a decoded path that leaves the corpus."""
+
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        root = tmp_path / "corpus"
+        root.mkdir()
+        (root / "a b.html").write_bytes(b"<p>spaced</p>")
+        (tmp_path / "secret.html").write_bytes(b"secret")
+        return root
+
+    def test_both_sources_serve_a_file_name_with_a_space(self, corpus):
+        with ScriptedCorpusServer(corpus) as server:
+            mock = MockSource(endpoint=server.base_url)
+            for source in (FixtureSource(root=corpus), mock):
+                for url in (FIXTURE_BASE + "/a b.html", FIXTURE_BASE + "/a%20b.html"):
+                    assert fetch(url, FAST, source).body == b"<p>spaced</p>"
+            # The request log and the status scripts keep the path as received.
+            assert server.request_counts() == {"/a%20b.html": 2}
+            server.script("/a%20b.html", [403])
+            with pytest.raises(NotFound, match="answered 403"):
+                fetch(FIXTURE_BASE + "/a b.html", FAST, mock)
+
+    def test_both_sources_refuse_an_encoded_escape(self, corpus):
+        url = FIXTURE_BASE + "/%2e%2e/secret.html"
+        with pytest.raises(Unresolvable):
+            fetch(url, FAST, FixtureSource(root=corpus))
+        with ScriptedCorpusServer(corpus) as server:
+            with pytest.raises(NotFound, match="answered 404"):
+                fetch(url, FAST, MockSource(endpoint=server.base_url))
+            assert server.request_counts() == {"/%2e%2e/secret.html": 1}
 
 
 class ReplyServer:

@@ -250,7 +250,31 @@ class TestMockCrawl:
             logged = len(server.request_log())
         # The index, 5 venue pages, 25 first pages and 4 retries.
         assert report.requests == logged == 35
+        # Every task is committed and counted once.
+        assert len(report.per_conference) == report.tasks_total == 25
+        assert report.tasks_succeeded + report.tasks_failed == 25
         assert '"requests": 35' in report.to_json()
+
+    def test_mock_and_fixture_sources_store_the_same_rows(self, fixtures_root):
+        def crawl(source):
+            handle = init_schema(StoreConfig(location=":memory:"))
+            report = run_crawl(CrawlConfig(workers=4, policy=FAST_POLICY, source=source),
+                               handle)
+            papers = handle.execute_sql("SELECT * FROM paper ORDER BY anthology_id")
+            conferences = handle.execute_sql("SELECT * FROM conference ORDER BY conf_id")
+            handle.close()
+            for row in conferences:
+                assert row.pop("fetched_at")  # the one column that differs
+            return report, papers, conferences
+
+        report, papers, conferences = crawl(FixtureSource(root=fixtures_root))
+        with ScriptedCorpusServer(fixtures_root) as server:
+            mock_report, mock_papers, mock_conferences = crawl(
+                MockSource(endpoint=server.base_url))
+        assert report.tasks_succeeded == mock_report.tasks_succeeded == 25
+        assert len(papers) == report.papers_stored == 117
+        assert mock_papers == papers
+        assert mock_conferences == conferences
 
     def test_progress_snapshots_are_monotone(self, fixtures_root):
         with ScriptedCorpusServer(fixtures_root) as server:
